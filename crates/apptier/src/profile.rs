@@ -217,25 +217,6 @@ impl WorkloadProfile {
         .expect("static preset")
     }
 
-    /// A lighter browse-only mix (fewer DB cycles), for heterogeneity in
-    /// multi-application experiments.
-    pub fn rubbos_browse_only() -> WorkloadProfile {
-        WorkloadProfile::new(
-            vec![
-                TierDemand {
-                    mean_cycles: 9.0e6,
-                    cv: 0.5,
-                },
-                TierDemand {
-                    mean_cycles: 8.0e6,
-                    cv: 0.6,
-                },
-            ],
-            0.0,
-        )
-        .expect("static preset")
-    }
-
     /// A three-tier profile (load balancer / app / DB) exercising the
     /// "applications may span more than two VMs" generality of §IV.
     pub fn three_tier() -> WorkloadProfile {
@@ -277,11 +258,7 @@ mod tests {
 
     #[test]
     fn presets_are_valid() {
-        for p in [
-            WorkloadProfile::rubbos(),
-            WorkloadProfile::rubbos_browse_only(),
-            WorkloadProfile::three_tier(),
-        ] {
+        for p in [WorkloadProfile::rubbos(), WorkloadProfile::three_tier()] {
             assert!(p.n_tiers() >= 2);
             assert!(p.tiers.iter().all(|t| t.mean_cycles > 0.0 && t.cv >= 0.0));
             assert!(p.think_time >= 0.0);

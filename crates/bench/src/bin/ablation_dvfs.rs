@@ -10,9 +10,9 @@
 //! cargo run -p vdc-bench --bin ablation_dvfs --release [--vms 1030] [--quick]
 //! ```
 
-use vdc_bench::{arg_num, arg_present, figure_header, rule};
+use vdc_bench::{arg_num, arg_present, figure_header, rule, week_or_day_trace};
 use vdc_core::experiments::ablation_dvfs;
-use vdc_trace::{generate_trace, TraceConfig};
+use vdc_trace::generate_trace;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -20,19 +20,7 @@ fn main() {
     let quick = arg_present(&args, "--quick");
     let n_vms = arg_num(&args, "--vms", if quick { 200 } else { 1030 });
 
-    let trace_cfg = if quick {
-        TraceConfig {
-            n_vms,
-            n_samples: 96,
-            interval_s: 900.0,
-            seed,
-        }
-    } else {
-        TraceConfig {
-            n_vms,
-            ..TraceConfig::paper_scale(seed)
-        }
-    };
+    let trace_cfg = week_or_day_trace(n_vms, seed, quick);
     figure_header(
         "Ablation ABL1",
         "energy per VM: IPAC vs IPAC-without-DVFS vs pMapper",

@@ -19,22 +19,13 @@
 //! fraction, migrations, safe-mode samples) — deterministic values, gated
 //! by `tools/results_gate` in ci.sh.
 
-use vdc_bench::{arg_num, figure_header, rule};
+use vdc_bench::{arg_num, counter, figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
 use vdc_core::{ControllerSpec, FaultConfig, FaultPlan, RunOptions};
 use vdc_dcsim::PueSeries;
 use vdc_telemetry::export::write_metrics;
 use vdc_telemetry::{Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig};
-
-fn counter(telemetry: &Telemetry, name: &str) -> u64 {
-    telemetry
-        .counter_values()
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
-}
 
 /// The site PUE trajectory: a cool-night / hot-afternoon square wave over
 /// each simulated day. 96 samples = one day at 15-minute cadence; the

@@ -19,21 +19,12 @@
 //! `optimizer.plan_partial` on top of the cosim metrics (see DESIGN.md
 //! §12).
 
-use vdc_bench::{arg_num, figure_header, rule};
+use vdc_bench::{arg_num, counter, figure_header, rule};
 use vdc_core::cosim::{run_cosim, CosimConfig, CosimResult};
 use vdc_core::{FaultConfig, FaultPlan, RunOptions};
 use vdc_telemetry::export::write_metrics;
 use vdc_telemetry::{Reporter, Telemetry};
 use vdc_trace::{generate_trace, TraceConfig, UtilizationTrace};
-
-fn counter(telemetry: &Telemetry, name: &str) -> u64 {
-    telemetry
-        .counter_values()
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| *v)
-        .unwrap_or(0)
-}
 
 fn run_scenario(
     trace: &UtilizationTrace,

@@ -15,12 +15,12 @@
 //! capture per-sample step cost, optimizer invocation stats, and DVFS
 //! transition counts (see DESIGN.md §Telemetry).
 
-use vdc_bench::{arg_num, arg_present, figure_header, rule};
+use vdc_bench::{arg_num, arg_present, figure_header, rule, week_or_day_trace};
 use vdc_core::largescale::{run_large_scale, LargeScaleConfig, OptimizerKind};
 use vdc_core::RunOptions;
 use vdc_telemetry::export::write_metrics;
 use vdc_telemetry::{Reporter, Telemetry};
-use vdc_trace::{generate_trace, TraceConfig};
+use vdc_trace::generate_trace;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -30,19 +30,7 @@ fn main() {
     let seed = arg_num(&args, "--seed", 5415u64);
     let shards = arg_num(&args, "--shards", 0usize); // 0 = host parallelism
 
-    let trace_cfg = if quick {
-        TraceConfig {
-            n_vms,
-            n_samples: 96,
-            interval_s: 900.0,
-            seed,
-        }
-    } else {
-        TraceConfig {
-            n_vms,
-            ..TraceConfig::paper_scale(seed)
-        }
-    };
+    let trace_cfg = week_or_day_trace(n_vms, seed, quick);
     figure_header(
         "Week profile",
         "hourly cluster power / active servers / migrations under IPAC",

@@ -44,6 +44,27 @@ pub fn arg_present(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
+/// A counter's exported value (0 when it was never registered).
+pub fn counter(telemetry: &vdc_telemetry::Telemetry, name: &str) -> u64 {
+    telemetry
+        .counter_values()
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .unwrap_or(0)
+}
+
+/// The paper-scale week trace over `n_vms` rows, or one day of it under
+/// `--quick`.
+pub fn week_or_day_trace(n_vms: usize, seed: u64, quick: bool) -> vdc_trace::TraceConfig {
+    let week = vdc_trace::TraceConfig::paper_scale(seed);
+    vdc_trace::TraceConfig {
+        n_vms,
+        n_samples: if quick { 96 } else { week.n_samples },
+        ..week
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -65,7 +65,7 @@ pub fn ipac_plan(
 pub struct IpacStats {
     /// Wall time spent inside the Minimum Slack root sweeps (ns) — the
     /// portion of the invocation that fans out over
-    /// [`MinSlackConfig`](crate::minslack::MinSlackConfig)`::shards`
+    /// [`MinSlackConfig`]`::shards`
     /// workers. The rest of the invocation (eviction scans, commit loops,
     /// the final diff) is sequential.
     pub search_ns: u64,

@@ -72,13 +72,6 @@ impl PackServer {
     pub fn resident_mem(&self) -> f64 {
         self.resident.iter().map(|i| i.mem_mib).sum()
     }
-
-    /// Unallocated CPU given an additional candidate set (GHz; may be
-    /// negative if infeasible).
-    pub fn slack_with(&self, candidates: &[PackItem]) -> f64 {
-        let extra: f64 = candidates.iter().map(|i| i.cpu_ghz).sum();
-        self.cpu_capacity_ghz - self.resident_cpu() - extra
-    }
 }
 
 #[cfg(test)]
@@ -136,15 +129,5 @@ mod tests {
             ..server()
         };
         assert_eq!(degenerate.power_efficiency(), 0.0);
-    }
-
-    #[test]
-    fn slack_accounts_for_residents_and_candidates() {
-        let s = server();
-        assert_eq!(s.slack_with(&[]), 3.0);
-        let c = [PackItem::new(VmId(2), 2.0, 0.0)];
-        assert_eq!(s.slack_with(&c), 1.0);
-        let too_big = [PackItem::new(VmId(3), 5.0, 0.0)];
-        assert!(s.slack_with(&too_big) < 0.0);
     }
 }

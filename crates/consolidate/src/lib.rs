@@ -27,8 +27,6 @@
 //! * [`policy`] — the cost-aware migration interface of §V
 //!   ("we provide an interface for data center administrators to define
 //!   their own cost functions").
-//! * [`exact`] — exponential-time exhaustive reference packer for judging
-//!   heuristic quality on tiny instances (tests/ablations only).
 //! * [`relief`] — on-demand overload mitigation between optimizer
 //!   invocations (§III, citing the authors' Co-Con work \[25\]).
 //! * [`view`] — build packing inputs from a [`vdc_dcsim::DataCenter`] and
@@ -37,7 +35,6 @@
 #![warn(missing_docs)]
 
 pub mod constraint;
-pub mod exact;
 pub mod ffd;
 pub mod ipac;
 pub mod item;
@@ -50,7 +47,6 @@ pub mod relief;
 pub mod view;
 
 pub use constraint::{AndConstraint, Constraint, CpuConstraint, FnConstraint, MemoryConstraint};
-pub use exact::{exact_pack, ExactPacking};
 pub use ipac::{ipac_plan, IpacConfig};
 pub use item::{PackItem, PackServer};
 pub use minslack::{minimum_slack, MinSlackConfig};

@@ -113,17 +113,6 @@ impl CoolingMpc {
     pub fn model(&self) -> &ArxModel {
         self.inner.model()
     }
-
-    /// Borrow the wrapped paper MPC (for analysis tooling that takes
-    /// `&MpcController`).
-    pub fn as_mpc(&self) -> &MpcController {
-        &self.inner
-    }
-
-    /// Mutably borrow the wrapped paper MPC.
-    pub fn as_mpc_mut(&mut self) -> &mut MpcController {
-        &mut self.inner
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,6 @@ pub mod analysis;
 pub mod arx;
 pub mod cooling;
 pub mod mpc;
-pub mod observer;
 pub mod reference;
 pub mod robust;
 pub mod stability;
@@ -43,7 +42,6 @@ pub use analysis::{achievable_range, analyze_closed_loop, setpoint_feasible, Clo
 pub use arx::ArxModel;
 pub use cooling::CoolingMpc;
 pub use mpc::{MpcConfig, MpcController};
-pub use observer::DisturbanceKalman;
 pub use reference::ReferenceTrajectory;
 pub use robust::{RobustConfig, RobustController};
 pub use sysid::{fit_arx, ArxFit, ExperimentData, Prbs, RecursiveLeastSquares};

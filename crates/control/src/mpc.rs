@@ -182,10 +182,11 @@ pub struct MpcController {
     c_current: Vec<f64>,
     /// Output disturbance estimate (constant-offset form).
     disturbance: f64,
-    /// Smoothing gain applied to the disturbance innovation: 1.0 is the
-    /// raw DMC bias update; < 1.0 is the steady-state Kalman filter of
-    /// `crate::observer` (use `DisturbanceKalman::new(..).gain()` to derive
-    /// it from noise variances).
+    /// Smoothing gain of the disturbance estimate: each period the
+    /// estimate moves the fraction `gain` of the way toward the latest
+    /// innovation (measured minus model-predicted output). 1.0 is the raw
+    /// DMC bias update; a gain < 1.0 is a steady-state Kalman gain that
+    /// low-pass filters measurement noise.
     disturbance_gain: f64,
     /// Number of dynamic-matrix rebuilds since construction (the cache
     /// generation of Ψ; see [`MpcController::predictor_generation`]).
@@ -288,8 +289,10 @@ impl MpcController {
         self.cfg.setpoint = ts;
     }
 
-    /// Set the disturbance-observer smoothing gain, in `(0, 1]`. Values
-    /// outside the interval are clamped. See [`crate::observer`].
+    /// Set the disturbance smoothing gain, in `(0, 1]`: each period the
+    /// disturbance estimate moves the fraction `gain` of the way toward the
+    /// latest innovation, so 1.0 is the raw DMC bias update and smaller
+    /// gains filter noise harder. Values outside the interval are clamped.
     pub fn set_disturbance_gain(&mut self, gain: f64) {
         self.disturbance_gain = gain.clamp(1e-6, 1.0);
     }

@@ -28,10 +28,15 @@
 //!
 //! Every decision is sequential and derived from index-ordered sharded
 //! snapshots, so churn runs stay bit-identical at every shard count; a
-//! workload with zero events leaves the run loop byte-identical to
+//! workload with zero events leaves the run byte-identical to
 //! [`crate::run_large_scale`].
+//!
+//! The replay is the run engine's per-sample loop (`engine.rs`) with a
+//! churn workload stage: one demand write over the base and churn
+//! regions of the demand table, then the sample's lifecycle events.
 
-use crate::largescale::{run_large_scale_impl, LargeScaleConfig, LargeScaleResult};
+use crate::engine::{Core, Workload};
+use crate::largescale::{self, LargeScaleConfig, LargeScaleResult, TraceDemand, DEMAND_SPAN};
 use crate::optimizer::snapshot_sharded;
 use crate::run::RunOptions;
 use crate::{CoreError, Result};
@@ -42,8 +47,6 @@ use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::MinSlackConfig;
 use vdc_consolidate::pac::pac_pack;
 use vdc_dcsim::{DataCenter, ServerHandle, VmHandle, VmId, VmSpec};
-use vdc_faults::FaultSession;
-use vdc_telemetry::Telemetry;
 use vdc_trace::UtilizationTrace;
 
 /// Result of one churn run: the large-scale rollup plus lifecycle
@@ -109,10 +112,30 @@ pub fn run_churn(
         telemetry.incr(key, 0);
     }
     telemetry.gauge_set("churn.queue_depth", 0.0);
-    let shards = crate::shard::resolve(opts.shards_or(cfg.shards));
-    let mut ctx = ChurnCtx::new(workload, policy, cfg.n_vms, shards);
     let mut source = trace;
-    let base = run_large_scale_impl(&mut source, cfg, opts, &telemetry, Some(&mut ctx))?;
+    let (mut engine, initial) = largescale::setup(&mut source, cfg, opts)?;
+    let mut ctx = Churn {
+        base: TraceDemand {
+            source: &mut source,
+            n_vms: cfg.n_vms,
+        },
+        workload,
+        policy,
+        base_vms: cfg.n_vms,
+        cursor: 0,
+        owner: Vec::new(),
+        live: BTreeMap::new(),
+        queue: VecDeque::new(),
+        arrivals: 0,
+        departures: 0,
+        admitted: 0,
+        rejections: 0,
+        wake_retries: 0,
+        peak_queue_depth: 0,
+        recycled_slots: 0,
+    };
+    let base = engine.run(&mut ctx, &initial, trace.n_samples())?;
+    largescale::export_gauges(&base, cfg, &telemetry);
     telemetry.gauge_set("churn.live_vms", ctx.live.len() as f64);
     Ok(ChurnResult {
         base,
@@ -127,17 +150,16 @@ pub fn run_churn(
     })
 }
 
-/// Mutable churn state threaded through the run loop. One instance per
-/// run; `run_large_scale_impl` calls [`ChurnCtx::apply_events`] once per
-/// sample (after the demand update, before consolidation) and
-/// [`ChurnCtx::write_demands`] for the churn region of the demand table.
-pub(crate) struct ChurnCtx<'a> {
+/// The churn workload stage: the demand write for the base and churn
+/// populations plus the churn lifecycle state. One instance per run.
+struct Churn<'a, 's> {
+    /// The base population's trace replay (slots `..base_vms`).
+    base: TraceDemand<'s, &'a UtilizationTrace>,
     workload: &'a ChurnWorkload,
     policy: AdmissionPolicy,
     /// Size of the fixed base population: churn slots start at this index
     /// and external churn labels at this id.
     base_vms: usize,
-    minslack: MinSlackConfig,
     /// Cursor into the sorted event stream.
     cursor: usize,
     /// Per churn slot (arena slot − `base_vms`): the live occupant's
@@ -159,35 +181,18 @@ pub(crate) struct ChurnCtx<'a> {
     recycled_slots: u64,
 }
 
-impl<'a> ChurnCtx<'a> {
-    fn new(
-        workload: &'a ChurnWorkload,
-        policy: AdmissionPolicy,
-        base_vms: usize,
-        shards: usize,
-    ) -> ChurnCtx<'a> {
-        ChurnCtx {
-            workload,
-            policy,
-            base_vms,
-            minslack: MinSlackConfig {
-                shards,
-                ..MinSlackConfig::default()
-            },
-            cursor: 0,
-            owner: Vec::new(),
-            live: BTreeMap::new(),
-            queue: VecDeque::new(),
-            arrivals: 0,
-            departures: 0,
-            admitted: 0,
-            rejections: 0,
-            wake_retries: 0,
-            peak_queue_depth: 0,
-            recycled_slots: 0,
-        }
+impl Workload for Churn<'_, '_> {
+    /// Demands first, then the sample's lifecycle events, so consolidation
+    /// always re-plans the post-event population.
+    fn sample(&mut self, core: &mut Core<'_>, t: usize) -> Result<()> {
+        let span = core.telemetry.timer(DEMAND_SPAN);
+        self.write_demands(&mut core.dc, t, core.shards);
+        span.finish();
+        self.apply_events(core, t)
     }
+}
 
+impl Churn<'_, '_> {
     /// External label of churn VM `k` (disjoint from the base ids
     /// `0..base_vms`).
     fn ext_id(&self, k: usize) -> u64 {
@@ -203,12 +208,14 @@ impl<'a> ChurnCtx<'a> {
         )
     }
 
-    /// Write the churn region of the demand table (slots `base_vms..`),
-    /// sharded per slot exactly like the base region: live owners whose
+    /// Write the demand table, sharded per slot: the base slots through the
+    /// trace replay; in the churn region (slots `base_vms..`) live owners whose
     /// activation sample has passed read their workload demand, everything
-    /// else (vacant, queued, still waking) reads 0.
-    pub(crate) fn write_demands(&self, dc: &mut DataCenter, t: usize, shards: usize) {
+    /// else (vacant, queued, still waking) reads 0. The `.max(0.0)` clamp
+    /// matches `set_vm_demand`.
+    fn write_demands(&mut self, dc: &mut DataCenter, t: usize, shards: usize) {
         debug_assert_eq!(self.owner.len(), dc.vm_slots() - self.base_vms);
+        self.base.write(dc, t, shards);
         let (workload, owner) = (self.workload, &self.owner);
         crate::shard::map_slice_mut(&mut dc.demands_mut()[self.base_vms..], shards, |i, d| {
             *d = match owner[i] {
@@ -220,14 +227,7 @@ impl<'a> ChurnCtx<'a> {
 
     /// Replay every lifecycle event due at sample `t`: departures first,
     /// then the admission queue retries, then new arrivals in event order.
-    pub(crate) fn apply_events(
-        &mut self,
-        dc: &mut DataCenter,
-        t: usize,
-        shards: usize,
-        telemetry: &Telemetry,
-        faults: Option<&mut FaultSession<'_>>,
-    ) -> Result<()> {
+    fn apply_events(&mut self, core: &mut Core<'_>, t: usize) -> Result<()> {
         let events = self.workload.events();
         let (mut departs, mut arrives) = (Vec::new(), Vec::new());
         while self.cursor < events.len() && events[self.cursor].at_sample == t {
@@ -245,15 +245,15 @@ impl<'a> ChurnCtx<'a> {
                 self.queue.retain(|&(q, _)| q != k);
                 let slot = h.index();
                 debug_assert!(slot >= self.base_vms, "churn never removes base VMs");
-                dc.remove_vm(h)?;
+                core.dc.remove_vm(h)?;
                 self.owner[slot - self.base_vms] = None;
                 self.departures += 1;
-                telemetry.incr("churn.departures", 1);
+                core.telemetry.incr("churn.departures", 1);
             }
         }
 
         self.arrivals += arrives.len() as u64;
-        telemetry.incr("churn.arrivals", arrives.len() as u64);
+        core.telemetry.incr("churn.arrivals", arrives.len() as u64);
         // Register the new arrivals so the batch below owns handles for
         // queued retries and fresh VMs alike. Registration pops the free
         // list, so post-departure arrivals land in recycled slots.
@@ -263,7 +263,7 @@ impl<'a> ChurnCtx<'a> {
                 self.workload.demand_ghz(k, t),
                 self.workload.memory_mib(k),
             );
-            let h = dc.add_vm(spec)?;
+            let h = core.dc.add_vm(spec)?;
             debug_assert!(h.index() >= self.base_vms);
             if h.generation() > 0 {
                 self.recycled_slots += 1;
@@ -284,10 +284,11 @@ impl<'a> ChurnCtx<'a> {
             .chain(arrives.into_iter().map(|k| (k, t)))
             .collect();
         if !batch.is_empty() {
-            self.admit(dc, batch, t, shards, telemetry, faults)?;
+            self.admit(core, batch, t)?;
         }
         self.peak_queue_depth = self.peak_queue_depth.max(self.queue.len());
-        telemetry.gauge_set("churn.queue_depth", self.queue.len() as f64);
+        core.telemetry
+            .gauge_set("churn.queue_depth", self.queue.len() as f64);
         Ok(())
     }
 
@@ -295,15 +296,13 @@ impl<'a> ChurnCtx<'a> {
     /// and apply the admission policy to the leftovers. Each batch entry
     /// carries the sample the VM first asked for placement, so `Queue`
     /// admissions can report their age.
-    fn admit(
-        &mut self,
-        dc: &mut DataCenter,
-        batch: Vec<(usize, usize)>,
-        t: usize,
-        shards: usize,
-        telemetry: &Telemetry,
-        mut faults: Option<&mut FaultSession<'_>>,
-    ) -> Result<()> {
+    fn admit(&mut self, core: &mut Core<'_>, batch: Vec<(usize, usize)>, t: usize) -> Result<()> {
+        let Core {
+            dc,
+            faults,
+            telemetry,
+            shards,
+        } = core;
         let placement_span = telemetry.timer("churn.placement_ns");
         let items: Vec<PackItem> = batch.iter().map(|&(k, _)| self.item(k, t)).collect();
         let since: BTreeMap<u64, usize> = batch
@@ -311,17 +310,21 @@ impl<'a> ChurnCtx<'a> {
             .map(|&(k, enqueued_at)| (self.ext_id(k), enqueued_at))
             .collect();
         let constraint = AndConstraint::cpu_and_memory();
+        let minslack = MinSlackConfig {
+            shards: *shards,
+            ..MinSlackConfig::default()
+        };
         // Index-ordered sharded snapshot (bit-identical at every shard
         // count), split into the active fleet — the Minimum Slack first
         // pass — and the sleeping pool the wake-and-retry fallback taps.
         let (mut active_view, mut sleeping_view): (Vec<PackServer>, Vec<PackServer>) =
-            snapshot_sharded(dc, shards)
+            snapshot_sharded(dc, *shards)
                 .into_iter()
                 .partition(|s| s.active);
         // Crashed hosts fall into the inactive partition advertising zero
         // capacity; drop them so the wake fallback can't select one.
         sleeping_view.retain(|s| s.cpu_capacity_ghz > 0.0);
-        let first = pac_pack(&mut active_view, &items, &constraint, &self.minslack);
+        let first = pac_pack(&mut active_view, &items, &constraint, &minslack);
         self.place_assignments(dc, &active_view, &first.assignments, t, t)?;
         self.admitted += first.assignments.len() as u64;
         telemetry.incr("churn.admitted", first.assignments.len() as u64);
@@ -340,12 +343,7 @@ impl<'a> ChurnCtx<'a> {
                 .filter(|i| leftovers.contains(&i.vm.0))
                 .cloned()
                 .collect();
-            let second = pac_pack(
-                &mut sleeping_view,
-                &retry_items,
-                &constraint,
-                &self.minslack,
-            );
+            let second = pac_pack(&mut sleeping_view, &retry_items, &constraint, &minslack);
             // Model the host's wake latency as an admission delay: the VM
             // occupies its slot now but its demand starts next sample, and
             // the wait is recorded against the churn.wake_wait_ns histogram.
@@ -356,7 +354,7 @@ impl<'a> ChurnCtx<'a> {
             let mut committed: Vec<(VmId, usize)> = Vec::with_capacity(second.assignments.len());
             let mut failed_wakes: Vec<u64> = Vec::new();
             for &(id, si) in &second.assignments {
-                if faults.as_deref_mut().is_some_and(|f| f.draw_wake_failure()) {
+                if faults.as_mut().is_some_and(|f| f.draw_wake_failure()) {
                     failed_wakes.push(id.0);
                     continue;
                 }
@@ -430,52 +428,13 @@ impl<'a> ChurnCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::largescale::tests::{assert_results_bit_identical, counter, small_trace};
     use crate::largescale::OptimizerKind;
     use vdc_churn::ChurnConfig;
-    use vdc_trace::{generate_trace, TraceConfig};
-
-    fn small_trace() -> UtilizationTrace {
-        generate_trace(&TraceConfig {
-            n_vms: 40,
-            n_samples: 96, // one day
-            interval_s: 900.0,
-            seed: 99,
-        })
-    }
+    use vdc_telemetry::Telemetry;
 
     fn churn_workload(trace: &UtilizationTrace, cfg: &ChurnConfig) -> ChurnWorkload {
         ChurnWorkload::generate(cfg, trace.n_samples(), trace.interval_s())
-    }
-
-    /// Bitwise comparison of the large-scale rollup (the fields the
-    /// sharding suites pin).
-    fn assert_base_bit_identical(a: &LargeScaleResult, b: &LargeScaleResult, ctx: &str) {
-        assert_eq!(a.n_vms, b.n_vms, "{ctx}");
-        assert_eq!(
-            a.total_energy_wh.to_bits(),
-            b.total_energy_wh.to_bits(),
-            "{ctx}: total energy"
-        );
-        assert_eq!(a.migrations, b.migrations, "{ctx}: migrations");
-        assert_eq!(
-            a.mean_active_servers.to_bits(),
-            b.mean_active_servers.to_bits(),
-            "{ctx}: mean active"
-        );
-        assert_eq!(a.peak_active_servers, b.peak_active_servers, "{ctx}");
-        assert_eq!(a.optimizer_invocations, b.optimizer_invocations, "{ctx}");
-        assert_eq!(a.relief_migrations, b.relief_migrations, "{ctx}");
-        assert_eq!(
-            a.sla_violation_fraction.to_bits(),
-            b.sla_violation_fraction.to_bits(),
-            "{ctx}: SLA fraction"
-        );
-        assert_eq!(
-            a.wake_energy_wh.to_bits(),
-            b.wake_energy_wh.to_bits(),
-            "{ctx}: wake energy"
-        );
-        assert_eq!(a.final_placements, b.final_placements, "{ctx}: placements");
     }
 
     #[test]
@@ -486,7 +445,7 @@ mod tests {
         let opts = RunOptions::default().with_series();
         let plain = crate::run_large_scale(&t, &cfg, &opts).unwrap();
         let churned = run_churn(&t, &cfg, &empty, AdmissionPolicy::WakeAndRetry, &opts).unwrap();
-        assert_base_bit_identical(&plain, &churned.base, "zero-event churn");
+        assert_results_bit_identical(&plain, &churned.base, "zero-event churn");
         assert_eq!(plain.series.len(), churned.base.series.len());
         for (a, b) in plain.series.iter().zip(&churned.base.series) {
             assert_eq!(a.power_w.to_bits(), b.power_w.to_bits());
@@ -608,16 +567,8 @@ mod tests {
             wake.min >= 25e9 && wake.max <= 30e9,
             "modeled, not wall-clock"
         );
-        let counters = telemetry.counter_values();
-        let counter = |name: &str| {
-            counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, v)| v)
-                .expect("counter registered")
-        };
-        assert_eq!(counter("churn.arrivals"), r.arrivals);
-        assert_eq!(counter("churn.wake_retries"), r.wake_retries);
+        assert_eq!(counter(&telemetry, "churn.arrivals"), r.arrivals);
+        assert_eq!(counter(&telemetry, "churn.wake_retries"), r.wake_retries);
     }
 
     #[test]
@@ -662,16 +613,8 @@ mod tests {
             faulted.rejections >= clean.rejections,
             "failed wakes become rejections"
         );
-        let counters = telemetry.counter_values();
-        let counter = |name: &str| {
-            counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, v)| v)
-                .expect("counter registered")
-        };
-        assert_eq!(counter("churn.wake_retries"), 0);
-        assert!(counter("fault.wake_failures") > 0);
+        assert_eq!(counter(&telemetry, "churn.wake_retries"), 0);
+        assert!(counter(&telemetry, "fault.wake_failures") > 0);
         assert_eq!(faulted.admitted + faulted.rejections, faulted.arrivals);
     }
 
@@ -739,7 +682,7 @@ mod tests {
                 &opts.with_shards(shards),
             )
             .unwrap();
-            assert_base_bit_identical(&single.base, &sharded.base, &format!("shards={shards}"));
+            assert_results_bit_identical(&single.base, &sharded.base, &format!("shards={shards}"));
             assert_eq!(single.arrivals, sharded.arrivals);
             assert_eq!(single.departures, sharded.departures);
             assert_eq!(single.admitted, sharded.admitted);

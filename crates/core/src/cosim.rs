@@ -15,24 +15,21 @@
 //! same applications with allocations frozen at what the controller needs
 //! at peak concurrency — the classic worst-case sizing the paper's
 //! dynamic reallocation replaces.
+//!
+//! The run is the run engine's per-sample loop (`engine.rs`) with the
+//! per-application control step as its workload stage.
 
 use crate::controller::{identify_plant, IdentificationConfig};
-use crate::largescale::{
-    apply_host_events, apply_relief, fault_rollup, optimize_step, register_fault_keys,
-    WATCHDOG_STREAK,
-};
-use crate::optimizer::{OptimizerConfig, PowerOptimizer};
+use crate::engine::{Core, Engine, EngineConfig, RunKeys, Workload};
+use crate::largescale::{build_fleet, MEAN_SERVER_GHZ};
+use crate::optimizer::OptimizerConfig;
 use crate::run::RunOptions;
 use crate::tier::{ControllerSpec, TierController};
 use crate::{CoreError, Result};
 use vdc_apptier::rng::{seed_stream, SimRng};
 use vdc_apptier::{AnalyticPlant, Plant, WorkloadProfile};
-use vdc_consolidate::constraint::AndConstraint;
 use vdc_consolidate::item::PackItem;
-use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_dcsim::{DataCenter, Server, ServerSpec, VmHandle, VmSpec};
-use vdc_faults::FaultSession;
-use vdc_telemetry::Telemetry;
+use vdc_dcsim::{PueSeries, VmHandle, VmSpec};
 use vdc_trace::UtilizationTrace;
 
 /// Configuration of a co-simulation run.
@@ -133,18 +130,11 @@ fn app_sample_periods(
 ) -> Result<Vec<Option<f64>>> {
     let mut measured = Vec::with_capacity(cfg.control_periods_per_sample);
     for _ in 0..cfg.control_periods_per_sample {
-        let m = if masked {
-            // Sensor dropout: the plant still runs, but the monitor that
-            // would time its completions is down — no measurement exists
-            // for this period (None, never a fabricated 0.0).
-            if cfg.controllers_enabled {
-                app.controller.control_period_masked(&mut app.plant)?
-            } else {
-                app.plant.set_allocations(&app.static_alloc)?;
-                app.plant.run_for(period_s);
-                let _ = app.plant.take_completed();
-                None
-            }
+        // Sensor dropout (`masked`): the plant still runs, but the monitor
+        // that would time its completions is down — no measurement exists
+        // for this period (None, never a fabricated 0.0).
+        let m = if cfg.controllers_enabled && masked {
+            app.controller.control_period_masked(&mut app.plant)?
         } else if cfg.controllers_enabled {
             app.controller.control_period(&mut app.plant)?
         } else {
@@ -152,11 +142,7 @@ fn app_sample_periods(
             app.plant.run_for(period_s);
             let stats =
                 vdc_apptier::monitor::ResponseStats::from_samples(app.plant.take_completed());
-            if stats.is_empty() {
-                None
-            } else {
-                Some(stats.p90() * 1000.0)
-            }
+            (!masked && !stats.is_empty()).then(|| stats.p90() * 1000.0)
         };
         measured.push(m);
     }
@@ -182,16 +168,6 @@ pub fn run_cosim(
     cfg: &CosimConfig,
     opts: &RunOptions<'_>,
 ) -> Result<CosimResult> {
-    let telemetry = opts.telemetry();
-    run_cosim_impl(trace, cfg, opts, &telemetry)
-}
-
-fn run_cosim_impl(
-    trace: &UtilizationTrace,
-    cfg: &CosimConfig,
-    opts: &RunOptions<'_>,
-    telemetry: &Telemetry,
-) -> Result<CosimResult> {
     if cfg.n_apps == 0 || cfg.n_apps > trace.n_vms() {
         return Err(CoreError::BadConfig(format!(
             "n_apps {} outside trace size {}",
@@ -204,9 +180,9 @@ fn run_cosim_impl(
             "control and optimizer periods must be positive".into(),
         ));
     }
+    let telemetry = opts.telemetry();
     let shards = crate::shard::resolve(opts.shards_or(cfg.shards));
     let spec = opts.controller_or(cfg.controller);
-    let mut rng = SimRng::seed_from_u64(cfg.seed);
     let profile = WorkloadProfile::rubbos();
     let period_s = 900.0 / cfg.control_periods_per_sample as f64;
 
@@ -239,19 +215,12 @@ fn run_cosim_impl(
     };
 
     // Build the fleet (enough for peak static provisioning of all apps).
+    // The fleet draws come first on the seeded stream, the per-app client
+    // caps after them.
+    let mut rng = SimRng::seed_from_u64(cfg.seed);
     let fleet_capacity_needed: f64 = static_alloc.iter().sum::<f64>() * cfg.n_apps as f64;
-    let mean_cap = 0.15 * 12.0 + 0.35 * 4.0 + 0.5 * 3.0;
-    let n_servers = ((fleet_capacity_needed * 1.6 / mean_cap).ceil() as usize).max(4);
-    let mut dc = DataCenter::new();
-    let catalog = ServerSpec::catalog();
-    for _ in 0..n_servers {
-        let spec = match rng.index(100) {
-            0..=14 => catalog[0].clone(),
-            15..=49 => catalog[1].clone(),
-            _ => catalog[2].clone(),
-        };
-        dc.add_server(Server::asleep(spec));
-    }
+    let n_servers = ((fleet_capacity_needed * 1.6 / MEAN_SERVER_GHZ).ceil() as usize).max(4);
+    let mut dc = build_fleet(n_servers, &mut rng);
 
     // Build the applications and register their tier VMs.
     let mut apps = Vec::with_capacity(cfg.n_apps);
@@ -294,248 +263,196 @@ fn run_cosim_impl(
         });
     }
 
-    // Fault session: gated exactly like the large-scale loop — empty
-    // plans were normalized to `None` by `RunOptions::faults()`, so a
-    // fault-free run executes the pre-fault instruction stream.
-    let mut faults = opts.faults().map(|plan| {
-        register_fault_keys(telemetry);
+    // Cosim always relieves overloads, always runs the arbitrators and
+    // always charges wake energy; its fleet is single-site at PUE 1.0.
+    let engine_cfg = EngineConfig {
+        keys: &KEYS,
+        period_samples: cfg.optimizer_period_samples,
+        interval_s: trace.interval_s(),
+        relief: true,
+        dvfs: true,
+        count_wake_energy: true,
+        capture_series: true,
+        fleet: None,
+    };
+    let optimizer = OptimizerConfig::ipac_default();
+    let mut engine = Engine::new(dc, engine_cfg, optimizer, opts, shards);
+    if engine.core.faults.is_some() {
         telemetry.incr("control.safe_mode_samples", 0);
-        FaultSession::new(plan)
-    });
-    let mut violation_streak = 0usize;
-
-    // Initial placement.
-    let mut optimizer = PowerOptimizer::new(OptimizerConfig::ipac_default());
-    optimizer.set_telemetry(telemetry.clone());
-    optimize_step(&mut optimizer, &mut dc, &initial_items, &mut faults)?;
-
-    let constraint = AndConstraint::cpu_and_memory();
-    let relief_cfg = ReliefConfig::default();
-    let mut total_energy = 0.0;
-    let mut active_sum = 0usize;
-    let mut err_sum = 0.0;
-    let mut err_count = 0usize;
-    let mut violations = 0usize;
-    let mut relief_migrations = 0u64;
-    let mut power_series_w = Vec::with_capacity(trace.n_samples());
-    let mut response_series_ms = Vec::with_capacity(trace.n_samples());
-
-    for t in 0..trace.n_samples() {
-        let sample_span = telemetry.timer("cosim.sample_ns");
-
-        // 1. Workload: concurrency follows the trace's shape.
-        for (a, app) in apps.iter_mut().enumerate() {
-            let u = trace.utilization(a, t);
-            let clients = (2.0 + u * app.max_clients as f64).round() as usize;
-            app.plant.set_concurrency(clients);
-        }
-
-        // 1.5 Feed-forward: the site's current PUE sample reaches every
-        //     controller before the control fan-out. A no-op by contract
-        //     for controllers that don't price cooling, and absent entirely
-        //     (bit-identical loop) when no series is attached.
-        if let Some(series) = opts.pue {
-            let pue = series.at(t);
-            for app in apps.iter_mut() {
-                app.controller.observe_pue(pue);
-            }
-        }
-
-        // 2. Application-level control (or static hold), fanned out over
-        //    shards. Each worker advances a contiguous chunk of apps; the
-        //    SLO accounting below folds the returned measurements
-        //    sequentially in (app, period) order, exactly as the
-        //    single-threaded loop did — so the shard count cannot perturb
-        //    any f64 of the result.
-        let control_span = telemetry.timer("cosim.control_ns");
-        // The dropout mask is a pure function of the immutable plan, so
-        // shard workers may consult it directly; all mutable fault
-        // accounting stays in the sequential fold below.
-        let plan = faults.as_ref().map(|f| f.plan());
-        let per_app: Vec<Result<Vec<Option<f64>>>> =
-            crate::shard::map_slice_mut(&mut apps, shards, |a, app| {
-                let masked = plan.is_some_and(|p| p.sensor_dropped(a, t));
-                app_sample_periods(app, cfg, period_s, masked)
-            });
-        control_span.finish();
-        let mut sample_ms_sum = 0.0;
-        let mut sample_ms_count = 0usize;
-        let mut sample_violations = 0usize;
-        for (a, measurements) in per_app.into_iter().enumerate() {
-            let measurements = measurements?;
-            if plan.is_some_and(|p| p.sensor_dropped(a, t)) {
-                // Masked periods are sensor outage, not starvation — the
-                // controller held its allocation in safe mode.
-                if let Some(f) = faults.as_mut() {
-                    f.safe_mode_samples += cfg.control_periods_per_sample as u64;
-                }
-                continue;
-            }
-            for measured in measurements {
-                if let Some(ms) = measured {
-                    telemetry.slo_observe(a as u32, cfg.setpoint_ms, ms, period_s);
-                    err_sum += (ms - cfg.setpoint_ms).abs();
-                    err_count += 1;
-                    sample_ms_sum += ms;
-                    sample_ms_count += 1;
-                    if ms > 1.5 * cfg.setpoint_ms {
-                        violations += 1;
-                        sample_violations += 1;
-                    }
-                } else {
-                    telemetry.incr("cosim.starved_periods", 1);
-                }
-            }
-        }
-
-        // 3. Propagate demands to the data center.
-        for app in &apps {
-            let alloc: &[f64] = if cfg.controllers_enabled {
-                app.controller.allocation()
-            } else {
-                &app.static_alloc
-            };
-            for (tier, &vm) in app.vm_handles.iter().enumerate() {
-                dc.set_vm_demand(vm, alloc[tier])?;
-            }
-        }
-
-        // 3.5 Host crash/recover events due at this sample (evacuation
-        //     sees the demands just propagated above).
-        if let Some(f) = faults.as_mut() {
-            apply_host_events(&mut dc, f, t, shards, telemetry)?;
-        }
-
-        // 4. Data-center level: consolidate on the long period, relieve
-        //    overloads otherwise, and always re-run DVFS.
-        if t > 0 && t % cfg.optimizer_period_samples == 0 {
-            optimize_step(&mut optimizer, &mut dc, &[], &mut faults)?;
-        } else {
-            let snap = crate::optimizer::snapshot_sharded(&dc, shards);
-            let outcome = relieve_overloads(&snap, &constraint, &relief_cfg);
-            if !outcome.plan.is_empty() {
-                let stats = apply_relief(&mut dc, &outcome.plan, &mut faults, telemetry)?;
-                relief_migrations += stats.migrations as u64;
-                telemetry.incr("cosim.relief_migrations", stats.migrations as u64);
-            }
-        }
-        dc.apply_dvfs(true)?;
-
-        // 5. Energy of active servers over this sample.
-        let active = dc.active_servers();
-        active_sum += active.len();
-        let mut watts = 0.0;
-        for &s in &active {
-            let w = dc.server_power_watts(s).expect("index in range");
-            telemetry.record("dcsim.server_power_w", w);
-            watts += w;
-        }
-        total_energy += watts * trace.interval_s() / 3600.0;
-        power_series_w.push(watts);
-        response_series_ms.push(if sample_ms_count > 0 {
-            sample_ms_sum / sample_ms_count as f64
-        } else {
-            -1.0
-        });
-        telemetry.incr("cosim.samples", 1);
-        // SLO watchdog: consecutive samples with severe violations trip an
-        // out-of-cadence emergency relief pass (matters on optimizer
-        // samples, where the regular relief doesn't run).
-        if faults.is_some() {
-            if sample_violations > 0 {
-                violation_streak += 1;
-            } else {
-                violation_streak = 0;
-            }
-            if violation_streak >= WATCHDOG_STREAK {
-                violation_streak = 0;
-                if let Some(f) = faults.as_mut() {
-                    f.watchdog_reliefs += 1;
-                }
-                telemetry.incr("fault.watchdog_reliefs", 1);
-                let snap = crate::optimizer::snapshot_sharded(&dc, shards);
-                let outcome = relieve_overloads(&snap, &constraint, &relief_cfg);
-                if !outcome.plan.is_empty() {
-                    let stats = apply_relief(&mut dc, &outcome.plan, &mut faults, telemetry)?;
-                    relief_migrations += stats.migrations as u64;
-                    telemetry.incr("cosim.relief_migrations", stats.migrations as u64);
-                }
-            }
-        }
-        sample_span.finish();
     }
-    total_energy += dc.wake_energy_wh();
+    let mut control = Control {
+        trace,
+        cfg,
+        apps,
+        period_s,
+        pue: opts.pue,
+        err_sum: 0.0,
+        err_count: 0,
+        violations: 0,
+        sample_violations: 0,
+        response_series_ms: Vec::with_capacity(trace.n_samples()),
+    };
+    let outcome = engine.run(&mut control, &initial_items, trace.n_samples())?;
 
-    // Run-level roll-up of the fault session.
-    if let Some(f) = &faults {
-        fault_rollup(f, telemetry);
+    if let Some(f) = &engine.core.faults {
         telemetry.incr("control.safe_mode_samples", f.safe_mode_samples);
     }
+    telemetry.gauge_set("cosim.total_energy_wh", outcome.total_energy_wh);
+    telemetry.gauge_set("cosim.mean_active_servers", outcome.mean_active_servers);
+    telemetry.incr("cosim.migrations", outcome.migrations);
 
-    // Run-level roll-up: DVFS / sleep-state transition counts from the
-    // arbitrator and the integrated energy of the horizon.
-    telemetry.incr("dcsim.dvfs_transitions", dc.dvfs_transitions());
-    telemetry.incr("dcsim.wake_transitions", dc.wake_count());
-    telemetry.incr("dcsim.sleep_transitions", dc.sleep_count());
-    telemetry.gauge_set("dcsim.wake_energy_wh", dc.wake_energy_wh());
-    telemetry.gauge_set("cosim.total_energy_wh", total_energy);
-    telemetry.gauge_set(
-        "cosim.mean_active_servers",
-        active_sum as f64 / trace.n_samples() as f64,
-    );
-    telemetry.incr(
-        "cosim.migrations",
-        optimizer.total_migrations() + relief_migrations,
-    );
-
-    // Label-ordered (VmId-sorted) iteration, matching the ascending-id
-    // order of the old lookup loop.
-    let mut final_placements: Vec<(u64, usize)> = Vec::with_capacity(2 * cfg.n_apps);
-    for (id, h) in dc.vm_handles() {
-        if let Some(server) = dc.placement_of(h) {
-            final_placements.push((id.0, server.index()));
-        }
-    }
-
+    let (err_sum, err_count) = (control.err_sum, control.err_count);
     Ok(CosimResult {
         n_apps: cfg.n_apps,
-        total_energy_wh: total_energy,
-        energy_per_app_wh: total_energy / cfg.n_apps as f64,
+        total_energy_wh: outcome.total_energy_wh,
+        energy_per_app_wh: outcome.total_energy_wh / cfg.n_apps as f64,
         mean_tracking_error_ms: if err_count > 0 {
             err_sum / err_count as f64
         } else {
             f64::INFINITY
         },
         violation_fraction: if err_count > 0 {
-            violations as f64 / err_count as f64
+            control.violations as f64 / err_count as f64
         } else {
             1.0
         },
-        mean_active_servers: active_sum as f64 / trace.n_samples() as f64,
-        migrations: optimizer.total_migrations() + relief_migrations,
-        power_series_w,
-        response_series_ms,
-        final_placements,
+        mean_active_servers: outcome.mean_active_servers,
+        migrations: outcome.migrations,
+        power_series_w: outcome.series.iter().map(|s| s.power_w).collect(),
+        response_series_ms: control.response_series_ms,
+        final_placements: outcome.final_placements,
     })
+}
+
+/// Telemetry keys of the co-simulation. It exports no per-stage spans:
+/// its control stage is timed as `cosim.control_ns`.
+const KEYS: RunKeys = RunKeys {
+    sample: "cosim.sample_ns",
+    samples: "cosim.samples",
+    relief_migrations: "cosim.relief_migrations",
+    stage_spans: false,
+};
+
+/// The co-simulation's workload stage: concurrency from the trace, PUE
+/// feed-forward, the sharded control fan-out, the SLO fold and demand
+/// propagation to the data center.
+struct Control<'a> {
+    trace: &'a UtilizationTrace,
+    cfg: &'a CosimConfig,
+    apps: Vec<App>,
+    period_s: f64,
+    pue: Option<&'a PueSeries>,
+    err_sum: f64,
+    err_count: usize,
+    violations: usize,
+    /// Severe violations of the current sample (the watchdog's signal).
+    sample_violations: usize,
+    response_series_ms: Vec<f64>,
+}
+
+impl Workload for Control<'_> {
+    fn sample(&mut self, core: &mut Core<'_>, t: usize) -> Result<()> {
+        let cfg = self.cfg;
+        // 1. Workload: concurrency follows the trace's shape.
+        for (a, app) in self.apps.iter_mut().enumerate() {
+            let u = self.trace.utilization(a, t);
+            let clients = (2.0 + u * app.max_clients as f64).round() as usize;
+            app.plant.set_concurrency(clients);
+        }
+
+        // 2. Feed-forward: the site's current PUE sample reaches every
+        //    controller before the control fan-out. A no-op by contract
+        //    for controllers that don't price cooling, and absent entirely
+        //    when no series is attached.
+        if let Some(series) = self.pue {
+            let pue = series.at(t);
+            for app in self.apps.iter_mut() {
+                app.controller.observe_pue(pue);
+            }
+        }
+
+        // 3. Application-level control (or static hold), fanned out over
+        //    shards. Each worker advances a contiguous chunk of apps; the
+        //    SLO accounting below folds the returned measurements
+        //    sequentially in (app, period) order, so the shard count
+        //    cannot perturb any f64 of the result.
+        let control_span = core.telemetry.timer("cosim.control_ns");
+        // The dropout mask is a pure function of the immutable plan, so
+        // shard workers may consult it directly; all mutable fault
+        // accounting stays in the sequential fold below.
+        let plan = core.faults.as_ref().map(|f| f.plan());
+        let period_s = self.period_s;
+        let per_app: Vec<Result<Vec<Option<f64>>>> =
+            crate::shard::map_slice_mut(&mut self.apps, core.shards, |a, app| {
+                let masked = plan.is_some_and(|p| p.sensor_dropped(a, t));
+                app_sample_periods(app, cfg, period_s, masked)
+            });
+        control_span.finish();
+        let mut sample_ms_sum = 0.0;
+        let mut sample_ms_count = 0usize;
+        self.sample_violations = 0;
+        for (a, measurements) in per_app.into_iter().enumerate() {
+            let measurements = measurements?;
+            if plan.is_some_and(|p| p.sensor_dropped(a, t)) {
+                // Masked periods are sensor outage, not starvation — the
+                // controller held its allocation in safe mode.
+                if let Some(f) = core.faults.as_mut() {
+                    f.safe_mode_samples += cfg.control_periods_per_sample as u64;
+                }
+                continue;
+            }
+            for measured in measurements {
+                if let Some(ms) = measured {
+                    core.telemetry
+                        .slo_observe(a as u32, cfg.setpoint_ms, ms, period_s);
+                    self.err_sum += (ms - cfg.setpoint_ms).abs();
+                    self.err_count += 1;
+                    sample_ms_sum += ms;
+                    sample_ms_count += 1;
+                    if ms > 1.5 * cfg.setpoint_ms {
+                        self.violations += 1;
+                        self.sample_violations += 1;
+                    }
+                } else {
+                    core.telemetry.incr("cosim.starved_periods", 1);
+                }
+            }
+        }
+        self.response_series_ms.push(if sample_ms_count > 0 {
+            sample_ms_sum / sample_ms_count as f64
+        } else {
+            -1.0
+        });
+
+        // 4. Propagate demands to the data center.
+        for app in &self.apps {
+            let alloc: &[f64] = if cfg.controllers_enabled {
+                app.controller.allocation()
+            } else {
+                &app.static_alloc
+            };
+            for (tier, &vm) in app.vm_handles.iter().enumerate() {
+                core.dc.set_vm_demand(vm, alloc[tier])?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The watchdog trips on severe response-time violations, not on
+    /// unmet CPU demand.
+    fn slo_violated(&self, _unmet_ghz: f64) -> bool {
+        self.sample_violations > 0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdc_trace::{generate_trace, TraceConfig};
+    use crate::largescale::tests::{counter, day_trace};
 
     /// Local shorthand: the quiet default-options run.
     fn run_cosim(t: &UtilizationTrace, cfg: &CosimConfig) -> Result<CosimResult> {
         super::run_cosim(t, cfg, &RunOptions::default())
-    }
-
-    fn day_trace(n: usize, seed: u64) -> UtilizationTrace {
-        generate_trace(&TraceConfig {
-            n_vms: n,
-            n_samples: 96,
-            interval_s: 900.0,
-            seed,
-        })
     }
 
     #[test]
@@ -663,12 +580,7 @@ mod tests {
             .with_telemetry(&telemetry)
             .with_faults(&plan);
         let r = super::run_cosim(&t, &cfg, &opts).unwrap();
-        let safe_samples = telemetry
-            .counter_values()
-            .into_iter()
-            .find(|(n, _)| n == "control.safe_mode_samples")
-            .map(|(_, v)| v)
-            .expect("safe mode counter registered");
+        let safe_samples = counter(&telemetry, "control.safe_mode_samples");
         assert!(
             safe_samples > 0,
             "outages must put controllers in safe mode"

@@ -259,30 +259,9 @@ fn run_single_app(
 }
 
 /// Fig. 4: response time under concurrency levels different from the one
-/// the controller was identified at.
+/// the controller was identified at, on the chosen plant backend
+/// (`PlantKind::Analytic` runs the whole sweep in milliseconds).
 pub fn fig4(
-    concurrencies: &[usize],
-    setpoint_ms: f64,
-    ident: &IdentificationConfig,
-    warmup: usize,
-    measure: usize,
-    seed: u64,
-) -> Result<Vec<SweepPoint>> {
-    fig4_with_plant(
-        concurrencies,
-        setpoint_ms,
-        ident,
-        warmup,
-        measure,
-        seed,
-        PlantKind::Des,
-    )
-}
-
-/// [`fig4`] with an explicit plant backend (`PlantKind::Analytic` runs the
-/// whole sweep in milliseconds).
-#[allow(clippy::too_many_arguments)]
-pub fn fig4_with_plant(
     concurrencies: &[usize],
     setpoint_ms: f64,
     ident: &IdentificationConfig,
@@ -313,29 +292,9 @@ pub fn fig4_with_plant(
         .collect()
 }
 
-/// Fig. 5: response time across set points (600–1300 ms in the paper).
+/// Fig. 5: response time across set points (600–1300 ms in the paper), on
+/// the chosen plant backend.
 pub fn fig5(
-    setpoints_ms: &[f64],
-    concurrency: usize,
-    ident: &IdentificationConfig,
-    warmup: usize,
-    measure: usize,
-    seed: u64,
-) -> Result<Vec<SweepPoint>> {
-    fig5_with_plant(
-        setpoints_ms,
-        concurrency,
-        ident,
-        warmup,
-        measure,
-        seed,
-        PlantKind::Des,
-    )
-}
-
-/// [`fig5`] with an explicit plant backend.
-#[allow(clippy::too_many_arguments)]
-pub fn fig5_with_plant(
     setpoints_ms: &[f64],
     concurrency: usize,
     ident: &IdentificationConfig,

@@ -6,19 +6,17 @@
 //! pMapper) re-maps VMs on a long period; the server-level arbitrator
 //! re-runs DVFS every trace sample (15 minutes); energy is integrated over
 //! the whole week and reported per VM — the metric of Fig. 6.
+//!
+//! The replay is the run engine's per-sample loop (`engine.rs`) with a
+//! trace write as its workload stage.
 
-use crate::optimizer::{snapshot_sharded, Algorithm, OptimizerConfig, PowerOptimizer};
+use crate::engine::{Core, Engine, EngineConfig, RunKeys, Workload};
+use crate::optimizer::OptimizerConfig;
 use crate::run::RunOptions;
 use crate::{CoreError, Result};
 use vdc_apptier::rng::SimRng;
-use vdc_consolidate::constraint::AndConstraint;
-use vdc_consolidate::item::{PackItem, PackServer};
-use vdc_consolidate::minslack::MinSlackConfig;
-use vdc_consolidate::pac::pac_pack;
-use vdc_consolidate::relief::{relieve_overloads, ReliefConfig};
-use vdc_consolidate::view::{apply_plan, apply_plan_fallible, ApplyStats};
-use vdc_dcsim::{DataCenter, FleetSpec, Server, ServerHandle, ServerSpec, VmHandle, VmSpec};
-use vdc_faults::{FaultSession, HostFaultKind};
+use vdc_consolidate::item::PackItem;
+use vdc_dcsim::{DataCenter, FleetSpec, Server, ServerSpec, VmSpec};
 use vdc_telemetry::Telemetry;
 use vdc_trace::{DemandSource, StreamingTrace, UtilizationTrace};
 
@@ -122,8 +120,12 @@ pub struct LargeScaleResult {
     pub series: Vec<WeekSample>,
 }
 
+/// Mean server capacity (GHz) under the 15/35/50 type mix of
+/// [`build_fleet`].
+pub(crate) const MEAN_SERVER_GHZ: f64 = 0.15 * 12.0 + 0.35 * 4.0 + 0.5 * 3.0;
+
 /// Build the data-center server fleet: random mix of the three §VI-B CPU
-/// types, all initially asleep.
+/// types, all initially asleep, drawn from `rng`.
 ///
 /// The mix is bottom-heavy (15 % quad-3 GHz, 35 % dual-2 GHz, 50 %
 /// dual-1.5 GHz): power-efficient machines are the scarce resource, so
@@ -131,8 +133,7 @@ pub struct LargeScaleResult {
 /// the paper gives for energy-per-VM rising with the VM count ("both
 /// algorithms try to use power-efficient servers first. With more VMs,
 /// more power-inefficient servers need to be used").
-fn build_fleet(n_servers: usize, seed: u64) -> DataCenter {
-    let mut rng = SimRng::seed_from_u64(seed);
+pub(crate) fn build_fleet(n_servers: usize, rng: &mut SimRng) -> DataCenter {
     let catalog = ServerSpec::catalog();
     let mut dc = DataCenter::new();
     for _ in 0..n_servers {
@@ -144,17 +145,6 @@ fn build_fleet(n_servers: usize, seed: u64) -> DataCenter {
         dc.add_server(Server::asleep(spec));
     }
     dc
-}
-
-/// Stamp a multi-site fleet spec, driving the profile draws with the same
-/// deterministic RNG stream `build_fleet` consumes — so
-/// `FleetSpec::paper_default(k)` reproduces the legacy fleet draw for
-/// draw under the same seed.
-fn build_fleet_from_spec(spec: &FleetSpec, seed: u64) -> Result<DataCenter> {
-    let mut rng = SimRng::seed_from_u64(seed);
-    let mut dc = DataCenter::new();
-    spec.build_with(&mut dc, &mut |n| rng.index(n))?;
-    Ok(dc)
 }
 
 /// Auto-size the fleet so capacity comfortably exceeds peak demand.
@@ -173,9 +163,8 @@ fn auto_servers<S: DemandSource + Sync>(trace: &S, n_vms: usize, shards: usize) 
     for total in totals {
         peak = peak.max(total);
     }
-    // Mean fleet capacity under the 15/35/50 type mix; 2× headroom + floor.
-    let mean_cap = 0.15 * 12.0 + 0.35 * 4.0 + 0.5 * 3.0;
-    ((peak * 2.0 / mean_cap).ceil() as usize).max(4) + 2
+    // 2× headroom + floor.
+    ((peak * 2.0 / MEAN_SERVER_GHZ).ceil() as usize).max(4) + 2
 }
 
 /// One sample of the large-scale time series.
@@ -193,6 +182,17 @@ pub struct WeekSample {
     pub unmet_fraction: f64,
 }
 
+/// Telemetry keys of the trace replay.
+const KEYS: RunKeys = RunKeys {
+    sample: "largescale.sample_ns",
+    samples: "largescale.samples",
+    relief_migrations: "largescale.relief_migrations",
+    stage_spans: true,
+};
+
+/// Span of the workload stage's demand write.
+pub(crate) const DEMAND_SPAN: &str = "largescale.demand_ns";
+
 /// Run the large-scale simulation.
 ///
 /// [`RunOptions`] carries the cross-cutting axes: telemetry sink
@@ -206,9 +206,7 @@ pub fn run_large_scale(
     cfg: &LargeScaleConfig,
     opts: &RunOptions<'_>,
 ) -> Result<LargeScaleResult> {
-    let telemetry = opts.telemetry();
-    let mut source = trace;
-    run_large_scale_impl(&mut source, cfg, opts, &telemetry, None)
+    replay(&mut { trace }, cfg, opts)
 }
 
 /// Run the large-scale simulation against a constant-memory streaming
@@ -225,24 +223,64 @@ pub fn run_large_scale_streaming(
     cfg: &LargeScaleConfig,
     opts: &RunOptions<'_>,
 ) -> Result<LargeScaleResult> {
-    let telemetry = opts.telemetry();
-    run_large_scale_impl(stream, cfg, opts, &telemetry, None)
+    replay(stream, cfg, opts)
 }
 
-/// The shared replay loop under [`run_large_scale`] (no lifecycle events,
-/// `churn: None`), [`run_large_scale_streaming`], and [`crate::run_churn`].
-/// Every churn hook is behind the `Option`, so the fixed-population path is
-/// byte-identical to the pre-churn loop. Generic over the demand source:
-/// the loop only ever reads sample `t` after `advance_to(t)`, in
-/// monotonically increasing order, which is exactly the contract a
-/// streaming source can honor.
-pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
+/// A fixed-population replay: the engine with a [`TraceDemand`] stage.
+fn replay<S: DemandSource + Sync>(
     source: &mut S,
     cfg: &LargeScaleConfig,
     opts: &RunOptions<'_>,
-    telemetry: &Telemetry,
-    mut churn: Option<&mut crate::churn::ChurnCtx<'_>>,
 ) -> Result<LargeScaleResult> {
+    let (mut engine, initial) = setup(source, cfg, opts)?;
+    let n_samples = source.n_samples();
+    let mut workload = TraceDemand {
+        source,
+        n_vms: cfg.n_vms,
+    };
+    let result = engine.run(&mut workload, &initial, n_samples)?;
+    export_gauges(&result, cfg, &engine.core.telemetry);
+    Ok(result)
+}
+
+/// The trace-replay workload stage. Registration made arena slot `i`
+/// trace row `i`, so the demand write is a sharded per-element write over a
+/// dense slice (the `.max(0.0)` clamp matches `set_vm_demand`). The source
+/// is only read at sample `t` after `advance_to(t)`, in increasing order —
+/// the contract a streaming source can honor.
+pub(crate) struct TraceDemand<'s, S> {
+    pub(crate) source: &'s mut S,
+    pub(crate) n_vms: usize,
+}
+
+impl<S: DemandSource + Sync> TraceDemand<'_, S> {
+    /// Write slots `..n_vms` from the source at sample `t`.
+    pub(crate) fn write(&mut self, dc: &mut DataCenter, t: usize, shards: usize) {
+        self.source.advance_to(t);
+        let src: &S = self.source;
+        crate::shard::map_slice_mut(&mut dc.demands_mut()[..self.n_vms], shards, |vm, d| {
+            *d = src.demand_ghz(vm, t).max(0.0);
+        });
+    }
+}
+
+impl<S: DemandSource + Sync> Workload for TraceDemand<'_, S> {
+    fn sample(&mut self, core: &mut Core<'_>, t: usize) -> Result<()> {
+        let span = core.telemetry.timer(DEMAND_SPAN);
+        self.write(&mut core.dc, t, core.shards);
+        span.finish();
+        Ok(())
+    }
+}
+
+/// Validate the config, stamp the fleet, register the base population at
+/// its t = 0 demands and build the engine. Returns the engine and the
+/// initial placement items.
+pub(crate) fn setup<'r, S: DemandSource + Sync>(
+    source: &mut S,
+    cfg: &'r LargeScaleConfig,
+    opts: &RunOptions<'r>,
+) -> Result<(Engine<'r>, Vec<PackItem>)> {
     if cfg.n_vms == 0 || cfg.n_vms > source.n_vms() {
         return Err(CoreError::BadConfig(format!(
             "n_vms {} outside trace size {}",
@@ -255,11 +293,17 @@ pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
             "optimizer period must be at least one sample".into(),
         ));
     }
-    let n_samples = source.n_samples();
-    let interval_s = source.interval_s();
     let shards = crate::shard::resolve(opts.shards_or(cfg.shards));
+    // The fleet draws come from one seeded stream, so
+    // `FleetSpec::paper_default(k)` reproduces the legacy fleet draw for
+    // draw under the same seed.
+    let mut rng = SimRng::seed_from_u64(cfg.seed);
     let mut dc = match &cfg.fleet {
-        Some(spec) => build_fleet_from_spec(spec, cfg.seed)?,
+        Some(spec) => {
+            let mut dc = DataCenter::new();
+            spec.build_with(&mut dc, &mut |n| rng.index(n))?;
+            dc
+        }
         None => {
             let n_servers = match cfg.n_servers {
                 Some(n) => n,
@@ -272,15 +316,15 @@ pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
                     ))
                 }
             };
-            build_fleet(n_servers, cfg.seed)
+            build_fleet(n_servers, &mut rng)
         }
     };
 
     // Register the VMs with their t = 0 demands. Registration order makes
     // arena slot i the trace row i, which is what lets the per-sample
-    // demand update below write the demand table by slot index.
+    // demand write address the demand table by slot index.
     source.advance_to(0);
-    let mut initial_items = Vec::with_capacity(cfg.n_vms);
+    let mut initial = Vec::with_capacity(cfg.n_vms);
     for vm in 0..cfg.n_vms {
         let demand = source.demand_ghz(vm, 0);
         let mem = source.meta(vm).memory_mib;
@@ -288,479 +332,81 @@ pub(crate) fn run_large_scale_impl<S: DemandSource + Sync>(
         let id = spec.id;
         let handle = dc.add_vm(spec)?;
         debug_assert_eq!(handle.index(), vm);
-        initial_items.push(PackItem::new(id, demand, mem));
+        initial.push(PackItem::new(id, demand, mem));
     }
 
-    let dvfs = matches!(cfg.optimizer, OptimizerKind::Ipac);
-    let mut optimizer = PowerOptimizer::new(match cfg.optimizer {
+    let engine_cfg = EngineConfig {
+        keys: &KEYS,
+        period_samples: cfg.optimizer_period_samples,
+        interval_s: source.interval_s(),
+        relief: cfg.overload_relief,
+        dvfs: cfg.optimizer == OptimizerKind::Ipac,
+        count_wake_energy: cfg.count_wake_energy,
+        capture_series: opts.capture_series,
+        fleet: cfg.fleet.as_ref(),
+    };
+    let optimizer = match cfg.optimizer {
         OptimizerKind::Ipac | OptimizerKind::IpacNoDvfs => OptimizerConfig::ipac_default(),
         OptimizerKind::Pmapper => OptimizerConfig::pmapper_default(),
-    });
-    debug_assert!(matches!(
-        cfg.optimizer,
-        OptimizerKind::Ipac | OptimizerKind::IpacNoDvfs | OptimizerKind::Pmapper
-    ));
-    let _ = Algorithm::Ipac; // (re-exported for callers)
-    optimizer.set_telemetry(telemetry.clone());
-    optimizer.set_shards(shards);
-    optimizer.set_pods(opts.pods);
-
-    // Fault session. Everything fault-related below is behind this one
-    // `Option`: `RunOptions::faults()` normalizes empty plans to `None`,
-    // so a fault-free run executes the exact pre-fault instruction stream
-    // (the zero-fault byte-identity contract in `tests/determinism.rs`).
-    let mut faults = opts.faults().map(|plan| {
-        register_fault_keys(telemetry);
-        FaultSession::new(plan)
-    });
-    let mut violation_streak = 0usize;
-
-    // Initial placement.
-    optimize_step(&mut optimizer, &mut dc, &initial_items, &mut faults)?;
-
-    let mut series = if opts.capture_series {
-        Vec::with_capacity(n_samples)
-    } else {
-        Vec::new()
     };
-    let mut active_sum = 0usize;
-    let mut peak_active = 0usize;
-    let mut total = 0.0_f64;
-    let mut site_energy_wh = vec![0.0_f64; dc.n_sites()];
-    let mut site_watts = vec![0.0_f64; dc.n_sites()];
-    let mut relief_migrations = 0u64;
-    let mut demand_total = 0.0_f64;
-    let mut demand_unmet = 0.0_f64;
-    let relief_constraint = AndConstraint::cpu_and_memory();
-    let relief_cfg = ReliefConfig::default();
-    for t in 0..n_samples {
-        let sample_span = telemetry.timer("largescale.sample_ns");
-        // Advance the demand source to this sample (no-op for materialized
-        // traces; one generator step for streaming sources).
-        source.advance_to(t);
-        let src: &S = source;
-        // Advance each site's PUE to this sample *before* any consolidation
-        // decision, so the optimizer's efficiency ordering sees the same
-        // facility cost the power fold below charges. A no-op (and no
-        // copy-on-write fork) while the value is unchanged.
-        if let Some(spec) = &cfg.fleet {
-            for (site, s) in spec.sites.iter().enumerate() {
-                dc.set_site_pue(site, s.pue.at(t))?;
-            }
-        }
-        // Update demands from the trace: slot i is trace row i, so this is
-        // a pure per-element write over a dense slice — sharded. The
-        // `.max(0.0)` clamp matches `set_vm_demand`.
-        let demand_span = telemetry.timer("largescale.demand_ns");
-        crate::shard::map_slice_mut(&mut dc.demands_mut()[..cfg.n_vms], shards, |vm, d| {
-            *d = src.demand_ghz(vm, t).max(0.0);
-        });
-        if let Some(ctx) = churn.as_deref() {
-            // Churn slots (arena region past the base population): live
-            // owners read their workload demand, vacant/queued slots 0.
-            ctx.write_demands(&mut dc, t, shards);
-        }
-        demand_span.finish();
-        // Lifecycle events due at this sample: departures free their arena
-        // slots, arrivals go through admission. Runs between the demand
-        // update and consolidation so the optimizer always re-plans the
-        // post-event population.
-        if let Some(ctx) = churn.as_deref_mut() {
-            ctx.apply_events(&mut dc, t, shards, telemetry, faults.as_mut())?;
-        }
-        // Host crash/recover events due at this sample.
-        if let Some(f) = faults.as_mut() {
-            apply_host_events(&mut dc, f, t, shards, telemetry)?;
-        }
-        // Long-period consolidation.
-        if t > 0 && t % cfg.optimizer_period_samples == 0 {
-            optimize_step(&mut optimizer, &mut dc, &[], &mut faults)?;
-        } else if cfg.overload_relief {
-            // On-demand overload mitigation between invocations (§III).
-            let snap_span = telemetry.timer("largescale.relief_snapshot_ns");
-            let snap = snapshot_sharded(&dc, shards);
-            snap_span.finish();
-            let outcome = relieve_overloads(&snap, &relief_constraint, &relief_cfg);
-            if !outcome.plan.is_empty() {
-                let stats = apply_relief(&mut dc, &outcome.plan, &mut faults, telemetry)?;
-                relief_migrations += stats.migrations as u64;
-                telemetry.incr("largescale.relief_migrations", stats.migrations as u64);
-            }
-        }
-        // Short-period DVFS (or pin active servers at max frequency). The
-        // per-server arbitrator decision is a pure read, so it fans out
-        // across shards; the commit (state writes + transition counters)
-        // stays a sequential index-order pass.
-        if dvfs {
-            let dvfs_span = telemetry.timer("largescale.dvfs_ns");
-            let decisions = crate::shard::map_indices(dc.n_servers(), shards, |s| {
-                dc.dvfs_decision(ServerHandle::from_index(s), true)
-            })
-            .into_iter()
-            .collect::<vdc_dcsim::Result<Vec<_>>>();
-            dvfs_span.finish();
-            dc.apply_dvfs_decisions(&decisions?)?;
-        } else {
-            pin_max_frequency(&mut dc)?;
-        }
-        let active = dc.active_servers();
-        active_sum += active.len();
-        peak_active = peak_active.max(active.len());
-        // Energy of *active* servers only: the paper's inactive pool is
-        // powered off ("enough inactive servers which will be waken up …
-        // if necessary"), not suspended, so it draws nothing.
-        // Per-server power/demand reads are pure with respect to the
-        // data-center state, so they fan out across shards; the watts/SLA
-        // sums stay sequential folds in active-list order, matching the
-        // single-threaded left fold bit for bit. The span isolates the
-        // shardable region for the `shard_scaling` bench's parallel-fraction
-        // estimate.
-        let power_span = telemetry.timer("largescale.power_map_ns");
-        let per_server: Vec<Result<(f64, f64, f64, usize)>> =
-            crate::shard::map_indices(active.len(), shards, |i| {
-                let s = active[i];
-                // Facility power: IT power × site PUE. With the default
-                // single-site PUE of 1.0 the product is bit-identical to
-                // the raw IT power, so legacy runs are unchanged.
-                let w = dc.server_facility_power_watts(s)?;
-                let demand = dc.server_demand_ghz(s)?;
-                let cap = dc.server(s)?.spec.max_capacity_ghz();
-                Ok((w, demand, cap, dc.server_site(s)))
-            });
-        power_span.finish();
-        let mut watts = 0.0_f64;
-        let mut sample_demand = 0.0_f64;
-        let mut sample_unmet = 0.0_f64;
-        for w in site_watts.iter_mut() {
-            *w = 0.0;
-        }
-        for r in per_server {
-            let (w, demand, cap, site) = r?;
-            telemetry.record("dcsim.server_power_w", w);
-            watts += w;
-            site_watts[site] += w;
-            // SLA proxy: demand beyond maximum capacity goes unserved.
-            demand_total += demand;
-            demand_unmet += (demand - cap).max(0.0);
-            sample_demand += demand;
-            sample_unmet += (demand - cap).max(0.0);
-        }
-        total += watts * interval_s / 3600.0;
-        for (site, w) in site_watts.iter().enumerate() {
-            site_energy_wh[site] += w * interval_s / 3600.0;
-        }
-        telemetry.incr("largescale.samples", 1);
-        if opts.capture_series {
-            series.push(WeekSample {
-                t_s: t as f64 * interval_s,
-                power_w: watts,
-                active_servers: active.len(),
-                migrations_so_far: optimizer.total_migrations() + relief_migrations,
-                unmet_fraction: if sample_demand > 0.0 {
-                    sample_unmet / sample_demand
-                } else {
-                    0.0
-                },
-            });
-        }
-        // SLO watchdog: three consecutive violation samples trigger an
-        // out-of-cadence emergency relief pass — faulted runs can strand
-        // load in places the periodic cadence is too slow to fix (e.g. a
-        // crash dumped VMs onto already-busy hosts).
-        if faults.is_some() {
-            if sample_unmet > 0.0 {
-                violation_streak += 1;
-            } else {
-                violation_streak = 0;
-            }
-            if violation_streak >= WATCHDOG_STREAK {
-                violation_streak = 0;
-                if let Some(f) = faults.as_mut() {
-                    f.watchdog_reliefs += 1;
-                }
-                telemetry.incr("fault.watchdog_reliefs", 1);
-                let snap = snapshot_sharded(&dc, shards);
-                let outcome = relieve_overloads(&snap, &relief_constraint, &relief_cfg);
-                if !outcome.plan.is_empty() {
-                    let stats = apply_relief(&mut dc, &outcome.plan, &mut faults, telemetry)?;
-                    relief_migrations += stats.migrations as u64;
-                    telemetry.incr("largescale.relief_migrations", stats.migrations as u64);
-                }
-            }
-        }
-        sample_span.finish();
-    }
-    let wake_energy_wh = dc.wake_energy_wh();
-    if cfg.count_wake_energy {
-        total += wake_energy_wh;
-    }
+    let engine = Engine::new(dc, engine_cfg, optimizer, opts, shards);
+    Ok((engine, initial))
+}
 
-    // Run-level roll-up of the fault session (per-event counters were
-    // already incremented inline; these are the apply-path aggregates).
-    if let Some(f) = &faults {
-        fault_rollup(f, telemetry);
-    }
-
-    // Run-level roll-up of arbitrator transitions and integrated energy.
-    telemetry.incr("dcsim.dvfs_transitions", dc.dvfs_transitions());
-    telemetry.incr("dcsim.wake_transitions", dc.wake_count());
-    telemetry.incr("dcsim.sleep_transitions", dc.sleep_count());
-    telemetry.gauge_set("dcsim.wake_energy_wh", wake_energy_wh);
-    telemetry.gauge_set("largescale.total_energy_wh", total);
-    telemetry.gauge_set("largescale.energy_per_vm_wh", total / cfg.n_vms as f64);
-    telemetry.incr(
-        "largescale.migrations",
-        optimizer.total_migrations() + relief_migrations,
-    );
+/// Export the replay's run-level `largescale.*` gauges.
+pub(crate) fn export_gauges(
+    result: &LargeScaleResult,
+    cfg: &LargeScaleConfig,
+    telemetry: &Telemetry,
+) {
+    telemetry.gauge_set("largescale.total_energy_wh", result.total_energy_wh);
+    telemetry.gauge_set("largescale.energy_per_vm_wh", result.energy_per_vm_wh);
+    telemetry.incr("largescale.migrations", result.migrations);
     // Per-site facility-energy gauges only exist for explicit fleet runs,
     // so the legacy metric key set (and its committed baselines) is
     // untouched.
     if let Some(spec) = &cfg.fleet {
-        for (site, s) in spec.sites.iter().enumerate() {
-            telemetry.gauge_set(
-                &format!("largescale.site_energy_wh.{}", s.name),
-                site_energy_wh[site],
-            );
+        for (s, e) in spec.sites.iter().zip(&result.site_energy_wh) {
+            telemetry.gauge_set(&format!("largescale.site_energy_wh.{}", s.name), *e);
         }
     }
-    // Label-ordered (VmId-sorted) iteration, matching the order the old
-    // BTreeMap-keyed state produced.
-    let mut final_placements = Vec::with_capacity(cfg.n_vms);
-    for (id, h) in dc.vm_handles() {
-        if let Some(server) = dc.placement_of(h) {
-            final_placements.push((id.0, server.index()));
-        }
-    }
-    Ok(LargeScaleResult {
-        n_vms: cfg.n_vms,
-        total_energy_wh: total,
-        energy_per_vm_wh: total / cfg.n_vms as f64,
-        migrations: optimizer.total_migrations() + relief_migrations,
-        mean_active_servers: active_sum as f64 / n_samples as f64,
-        peak_active_servers: peak_active,
-        optimizer_invocations: optimizer.invocations(),
-        relief_migrations,
-        sla_violation_fraction: if demand_total > 0.0 {
-            demand_unmet / demand_total
-        } else {
-            0.0
-        },
-        wake_energy_wh,
-        final_placements,
-        site_energy_wh,
-        series,
-    })
-}
-
-/// Consecutive SLO-violation samples that trip the fault watchdog's
-/// emergency relief pass.
-pub(crate) const WATCHDOG_STREAK: usize = 3;
-
-/// Fault counter family pre-registered at session creation, so every
-/// faulted run exports the same key set regardless of which paths fire.
-pub(crate) fn register_fault_keys(telemetry: &Telemetry) {
-    for key in [
-        "fault.crashes",
-        "fault.recoveries",
-        "fault.evacuated_vms",
-        "fault.stranded_vms",
-        "fault.watchdog_reliefs",
-        "fault.migration_retries",
-        "fault.migrations_dropped",
-        "fault.plan_partials",
-        "fault.wake_failures",
-        "optimizer.plan_partial",
-    ] {
-        telemetry.incr(key, 0);
-    }
-}
-
-/// End-of-run roll-up of the session's apply-path aggregates (per-event
-/// counters are incremented inline as events fire).
-pub(crate) fn fault_rollup(f: &FaultSession<'_>, telemetry: &Telemetry) {
-    telemetry.incr("fault.migration_retries", f.migration_retries);
-    telemetry.incr("fault.migrations_dropped", f.migrations_dropped);
-    telemetry.incr("fault.plan_partials", f.plan_partials);
-    telemetry.incr("fault.wake_failures", f.wake_failures);
-    telemetry.incr("fault.stranded_vms", f.stranded_vms);
-}
-
-/// Replay every host crash/recover event due at sample `t`. Crashing a
-/// host evacuates its VMs through the Minimum Slack packer onto the
-/// active fleet (spilling onto woken sleepers); whatever fits nowhere is
-/// counted stranded — the VM stays registered but unplaced, so its arena
-/// slot is never recycled out from under external owner bookkeeping.
-/// Out-of-range host indices (a plan drawn for a larger fleet) are
-/// skipped.
-pub(crate) fn apply_host_events(
-    dc: &mut DataCenter,
-    f: &mut FaultSession<'_>,
-    t: usize,
-    shards: usize,
-    telemetry: &Telemetry,
-) -> Result<()> {
-    for ev in f.host_events_at(t) {
-        if ev.host >= dc.n_servers() {
-            continue;
-        }
-        let server = ServerHandle::from_index(ev.host);
-        match ev.kind {
-            HostFaultKind::Crash => {
-                let evacuees = dc.fail_server(server)?;
-                f.crashes += 1;
-                telemetry.incr("fault.crashes", 1);
-                evacuate_vms(dc, &evacuees, shards, f, telemetry)?;
-            }
-            HostFaultKind::Recover => {
-                dc.recover_server(server)?;
-                f.recoveries += 1;
-                telemetry.incr("fault.recoveries", 1);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One optimizer invocation, fault-aware when a session is active. The
-/// fault-free arm is the exact pre-fault call, so runs without a plan are
-/// byte-identical to the historical loop.
-pub(crate) fn optimize_step(
-    optimizer: &mut PowerOptimizer,
-    dc: &mut DataCenter,
-    items: &[PackItem],
-    faults: &mut Option<FaultSession<'_>>,
-) -> Result<ApplyStats> {
-    match faults.as_mut() {
-        Some(f) => optimizer.optimize_faulted(dc, items, f),
-        None => optimizer.optimize(dc, items),
-    }
-}
-
-/// Apply an overload-relief plan, drawing per-attempt migration failures
-/// from the fault session when one is active.
-pub(crate) fn apply_relief(
-    dc: &mut DataCenter,
-    plan: &vdc_consolidate::plan::ConsolidationPlan,
-    faults: &mut Option<FaultSession<'_>>,
-    telemetry: &Telemetry,
-) -> Result<ApplyStats> {
-    match faults.as_mut() {
-        Some(f) => {
-            let max_attempts = f.plan().max_migration_attempts();
-            let partial =
-                apply_plan_fallible(dc, plan, max_attempts, || f.draw_migration_failure())?;
-            f.migration_retries += partial.retries;
-            f.migrations_dropped += partial.dropped as u64;
-            f.stranded_vms += partial.stranded.len() as u64;
-            if partial.is_partial() {
-                f.plan_partials += 1;
-                telemetry.incr("optimizer.plan_partial", 1);
-            }
-            Ok(partial.stats)
-        }
-        None => Ok(apply_plan(dc, plan)?),
-    }
-}
-
-/// Re-place the VMs evacuated from a crashed host: Minimum Slack onto the
-/// active fleet first, spill onto the sleeping pool (waking hosts), and
-/// count whatever fits nowhere as stranded. Stranding only happens when
-/// capacity is genuinely exhausted (not even waking every sleeping host
-/// fits the VM). A stranded VM stays registered but unplaced — removing it
-/// would recycle its arena slot and corrupt any external owner bookkeeping
-/// keyed by slot — and simply runs no work for the rest of the horizon.
-fn evacuate_vms(
-    dc: &mut DataCenter,
-    evacuees: &[VmHandle],
-    shards: usize,
-    faults: &mut FaultSession<'_>,
-    telemetry: &Telemetry,
-) -> Result<()> {
-    if evacuees.is_empty() {
-        return Ok(());
-    }
-    let mut items = Vec::with_capacity(evacuees.len());
-    let mut by_id = std::collections::BTreeMap::new();
-    for &h in evacuees {
-        let spec = dc.vm(h)?;
-        let (id, mem) = (spec.id, spec.memory_mib);
-        items.push(PackItem::new(id, dc.vm_demand(h)?, mem));
-        by_id.insert(id.0, h);
-    }
-    let constraint = AndConstraint::cpu_and_memory();
-    let minslack = MinSlackConfig {
-        shards,
-        ..MinSlackConfig::default()
-    };
-    let (mut active_view, mut sleeping_view): (Vec<PackServer>, Vec<PackServer>) =
-        snapshot_sharded(dc, shards)
-            .into_iter()
-            .partition(|s| s.active);
-    // Failed hosts land in the inactive partition advertising zero
-    // capacity; drop them so the spill pass can't select one (a
-    // zero-demand item would otherwise "fit").
-    sleeping_view.retain(|s| s.cpu_capacity_ghz > 0.0);
-    let first = pac_pack(&mut active_view, &items, &constraint, &minslack);
-    for &(id, si) in &first.assignments {
-        dc.place_vm(
-            by_id[&id.0],
-            ServerHandle::from_index(active_view[si].index),
-        )?;
-    }
-    telemetry.incr("fault.evacuated_vms", first.assignments.len() as u64);
-    if !first.unplaced.is_empty() {
-        let spill_items: Vec<PackItem> = items
-            .iter()
-            .filter(|i| first.unplaced.contains(&i.vm))
-            .cloned()
-            .collect();
-        let second = pac_pack(&mut sleeping_view, &spill_items, &constraint, &minslack);
-        for &(id, si) in &second.assignments {
-            // `place_vm` auto-wakes the sleeping target.
-            dc.place_vm(
-                by_id[&id.0],
-                ServerHandle::from_index(sleeping_view[si].index),
-            )?;
-        }
-        telemetry.incr("fault.evacuated_vms", second.assignments.len() as u64);
-        faults.stranded_vms += second.unplaced.len() as u64;
-    }
-    Ok(())
-}
-
-/// Without DVFS, active servers run at their maximum frequency; idle ones
-/// still sleep (both schemes consolidate).
-fn pin_max_frequency(dc: &mut DataCenter) -> Result<()> {
-    for i in 0..dc.n_servers() {
-        let s = ServerHandle::from_index(i);
-        if dc.server(s)?.is_active() {
-            if dc.hosted_vms(s)?.is_empty() {
-                dc.sleep_server(s)?;
-            } else {
-                dc.wake_server(s)?; // ensures Active at max frequency
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use vdc_trace::{generate_trace, TraceConfig};
 
     /// Local shorthand: the quiet default-options run.
-    fn run_large_scale(t: &UtilizationTrace, cfg: &LargeScaleConfig) -> Result<LargeScaleResult> {
+    pub(super) fn run_large_scale(
+        t: &UtilizationTrace,
+        cfg: &LargeScaleConfig,
+    ) -> Result<LargeScaleResult> {
         super::run_large_scale(t, cfg, &RunOptions::default())
     }
 
-    fn small_trace() -> UtilizationTrace {
+    /// One day of 15-minute samples over `n_vms` trace rows.
+    pub(crate) fn day_trace(n_vms: usize, seed: u64) -> UtilizationTrace {
         generate_trace(&TraceConfig {
-            n_vms: 40,
-            n_samples: 96, // one day
+            n_vms,
+            n_samples: 96,
             interval_s: 900.0,
-            seed: 99,
+            seed,
         })
+    }
+
+    pub(crate) fn small_trace() -> UtilizationTrace {
+        day_trace(40, 99)
+    }
+
+    /// A registered counter's value (panics when it was never registered).
+    pub(crate) fn counter(telemetry: &Telemetry, name: &str) -> u64 {
+        telemetry
+            .counter_values()
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| v)
+            .unwrap_or_else(|| panic!("counter {name} not registered"))
     }
 
     #[test]
@@ -825,7 +471,7 @@ mod tests {
         assert!(r.peak_active_servers < 40);
     }
 
-    pub(super) fn assert_results_bit_identical(
+    pub(crate) fn assert_results_bit_identical(
         a: &LargeScaleResult,
         b: &LargeScaleResult,
         ctx: &str,
@@ -985,27 +631,9 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{counter, small_trace};
     use super::*;
     use vdc_faults::{FaultConfig, FaultPlan};
-    use vdc_trace::{generate_trace, TraceConfig};
-
-    fn small_trace() -> UtilizationTrace {
-        generate_trace(&TraceConfig {
-            n_vms: 40,
-            n_samples: 96,
-            interval_s: 900.0,
-            seed: 99,
-        })
-    }
-
-    fn counter(telemetry: &Telemetry, name: &str) -> u64 {
-        telemetry
-            .counter_values()
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("counter {name} not registered"))
-    }
 
     #[test]
     fn empty_plan_is_bit_identical_to_a_plain_run() {
@@ -1138,19 +766,10 @@ mod fault_tests {
 
 #[cfg(test)]
 mod fleet_tests {
+    use super::tests::day_trace as trace;
     use super::*;
     use vdc_dcsim::fleet::PueSeries;
     use vdc_dcsim::{HostCatalog, SiteSpec};
-    use vdc_trace::{generate_trace, TraceConfig};
-
-    fn trace(n_vms: usize, seed: u64) -> UtilizationTrace {
-        generate_trace(&TraceConfig {
-            n_vms,
-            n_samples: 96,
-            interval_s: 900.0,
-            seed,
-        })
-    }
 
     #[test]
     fn paper_default_fleet_is_bit_identical_to_legacy_template() {
@@ -1221,7 +840,7 @@ mod fleet_tests {
         let t = trace(30, 0xF1EE9);
         // Single-site paper fleet; PUE jumps from 1.0 to 1.5 at sample 48.
         let mut samples = vec![1.0; 48];
-        samples.extend(std::iter::repeat(1.5).take(48));
+        samples.extend(std::iter::repeat_n(1.5, 48));
         let catalog = HostCatalog::paper();
         let mix = vec![
             (vdc_dcsim::ProfileId::from_index(0), 15),
@@ -1261,22 +880,8 @@ mod fleet_tests {
 
 #[cfg(test)]
 mod relief_tests {
+    use super::tests::{day_trace as trace, run_large_scale};
     use super::*;
-    use vdc_trace::{generate_trace, TraceConfig};
-
-    /// Local shorthand: the quiet default-options run.
-    fn run_large_scale(t: &UtilizationTrace, cfg: &LargeScaleConfig) -> Result<LargeScaleResult> {
-        super::run_large_scale(t, cfg, &RunOptions::default())
-    }
-
-    fn trace(n_vms: usize, seed: u64) -> UtilizationTrace {
-        generate_trace(&TraceConfig {
-            n_vms,
-            n_samples: 96,
-            interval_s: 900.0,
-            seed,
-        })
-    }
 
     #[test]
     fn relief_reduces_sla_violations() {

@@ -21,6 +21,12 @@
 //! [`largescale`] wires the trace-driven 3,000-server simulation of
 //! §VII-B. [`experiments`] contains one runner per paper figure.
 //!
+//! [`largescale`], [`churn`] and [`cosim`] share one per-sample run
+//! engine (`engine.rs`): each entry point sets up a fleet and fills the
+//! engine's workload stage (a trace write, churn lifecycle events, or the
+//! per-application control step); the facility, host-fault, consolidation,
+//! DVFS, power and watchdog stages are common.
+//!
 //! [`tier`] is the pluggable controller seam: the run loops drive every
 //! application through the object-safe [`tier::TierController`] trait, and
 //! [`tier::ControllerSpec`] selects between the paper MPC (default), the
@@ -36,6 +42,7 @@
 pub mod churn;
 pub mod controller;
 pub mod cosim;
+mod engine;
 pub mod experiments;
 pub mod largescale;
 pub mod optimizer;

@@ -766,42 +766,27 @@ impl PowerOptimizer {
     /// One optimizer invocation: snapshot → plan → apply. `new_items` are
     /// VMs registered in the data center but not yet placed.
     pub fn optimize(&mut self, dc: &mut DataCenter, new_items: &[PackItem]) -> Result<ApplyStats> {
-        let span = self.telemetry.timer("optimizer.invocation_ns");
-        let plan = self.plan(dc, new_items);
-        let stats = apply_plan(dc, &plan)?;
-        span.finish();
-        self.finish_invocation(dc, plan.moves.len(), &stats);
-        Ok(stats)
+        self.optimize_faulted(dc, new_items, None)
     }
 
-    /// One optimizer invocation whose migrations may fail, drawing
-    /// per-attempt outcomes from the fault session. Each migration gets
-    /// the plan's deterministic retry-with-exponential-backoff budget; the
-    /// first migration to exhaust it truncates the suffix, so the plan
-    /// commits its successful prefix (`optimizer.plan_partial` counts
-    /// truncations). With a plan whose migration failure probability is
-    /// zero, this is behaviorally identical to [`PowerOptimizer::optimize`].
+    /// [`PowerOptimizer::optimize`] whose migrations may fail, drawing
+    /// per-attempt outcomes from the fault session when one is given: each
+    /// migration gets the plan's deterministic retry-with-backoff budget,
+    /// and the first to exhaust it truncates the suffix, so the plan
+    /// commits its successful prefix. `None` is exactly
+    /// [`PowerOptimizer::optimize`].
     pub fn optimize_faulted(
         &mut self,
         dc: &mut DataCenter,
         new_items: &[PackItem],
-        faults: &mut FaultSession<'_>,
+        faults: Option<&mut FaultSession<'_>>,
     ) -> Result<ApplyStats> {
         let span = self.telemetry.timer("optimizer.invocation_ns");
         let plan = self.plan(dc, new_items);
-        let max_attempts = faults.plan().max_migration_attempts();
-        let partial =
-            apply_plan_fallible(dc, &plan, max_attempts, || faults.draw_migration_failure())?;
+        let stats = apply_faulted(dc, &plan, faults, &self.telemetry)?;
         span.finish();
-        self.finish_invocation(dc, plan.moves.len(), &partial.stats);
-        faults.migration_retries += partial.retries;
-        faults.migrations_dropped += partial.dropped as u64;
-        faults.stranded_vms += partial.stranded.len() as u64;
-        if partial.is_partial() {
-            faults.plan_partials += 1;
-            self.telemetry.incr("optimizer.plan_partial", 1);
-        }
-        Ok(partial.stats)
+        self.finish_invocation(dc, plan.moves.len(), &stats);
+        Ok(stats)
     }
 
     /// Shared invocation bookkeeping: counters, telemetry rollups, and the
@@ -823,6 +808,33 @@ impl PowerOptimizer {
         self.telemetry
             .gauge_set("optimizer.slack_ghz", active_slack_ghz(dc));
     }
+}
+
+/// Apply a plan whose migrations may fail, drawing per-attempt outcomes
+/// from the fault session when one is given. Each migration gets the
+/// plan's deterministic retry-with-exponential-backoff budget; the first
+/// migration to exhaust it truncates the suffix, so the plan commits its
+/// successful prefix (`optimizer.plan_partial` counts truncations).
+/// Without a session this is the plain [`apply_plan`].
+pub(crate) fn apply_faulted(
+    dc: &mut DataCenter,
+    plan: &ConsolidationPlan,
+    faults: Option<&mut FaultSession<'_>>,
+    telemetry: &Telemetry,
+) -> Result<ApplyStats> {
+    let Some(f) = faults else {
+        return Ok(apply_plan(dc, plan)?);
+    };
+    let max_attempts = f.plan().max_migration_attempts();
+    let partial = apply_plan_fallible(dc, plan, max_attempts, || f.draw_migration_failure())?;
+    f.migration_retries += partial.retries;
+    f.migrations_dropped += partial.dropped as u64;
+    f.stranded_vms += partial.stranded.len() as u64;
+    if partial.is_partial() {
+        f.plan_partials += 1;
+        telemetry.incr("optimizer.plan_partial", 1);
+    }
+    Ok(partial.stats)
 }
 
 /// Spare CPU capacity across active servers (GHz): how much headroom the

@@ -160,7 +160,8 @@ pub enum ServerState {
     Sleeping,
     /// Crashed. A failed host draws no power, offers no capacity, and
     /// cannot be woken or receive placements until
-    /// [`crate::DataCenter::recover_server`] returns it to [`Sleeping`].
+    /// [`crate::DataCenter::recover_server`] returns it to
+    /// [`Sleeping`](ServerState::Sleeping).
     Failed,
 }
 

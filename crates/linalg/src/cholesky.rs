@@ -86,11 +86,6 @@ impl Cholesky {
         }
         Ok(Vector::from_vec(y))
     }
-
-    /// Log-determinant of `A` (useful for information criteria in sysid).
-    pub fn log_det(&self) -> f64 {
-        (0..self.dim()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
-    }
 }
 
 #[cfg(test)]
@@ -140,14 +135,6 @@ mod tests {
             Cholesky::new(&Matrix::zeros(2, 3)),
             Err(LinalgError::DimensionMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn log_det_matches_direct() {
-        let a = Matrix::from_rows(&[&[4.0, 2.0], &[2.0, 3.0]]);
-        // det = 12 - 4 = 8.
-        let ch = Cholesky::new(&a).unwrap();
-        assert!((ch.log_det() - 8.0_f64.ln()).abs() < 1e-12);
     }
 
     #[test]

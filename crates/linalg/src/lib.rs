@@ -11,8 +11,6 @@
 //! * [`qr::Qr`]: Householder QR (least-squares system identification).
 //! * [`cholesky::Cholesky`]: SPD factorization (fast solves of MPC Hessians).
 //! * [`lstsq`](crate::lstsq()): unconstrained and equality-constrained least squares.
-//! * [`svd`]: one-sided Jacobi SVD (exact condition numbers, numerical
-//!   rank, pseudo-inverse solves of rank-deficient identification data).
 //! * [`qp`]: box- and equality-constrained quadratic programming via a
 //!   primal active-set method (the "least squares solver" of §IV-B of the
 //!   paper, honoring allocation ranges).
@@ -40,7 +38,6 @@ pub mod matrix;
 pub mod poly;
 pub mod qp;
 pub mod qr;
-pub mod svd;
 pub mod vector;
 
 pub use cholesky::Cholesky;
@@ -52,7 +49,6 @@ pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qp::{BoxQp, QpError, QpSolution};
 pub use qr::Qr;
-pub use svd::Svd;
 pub use vector::Vector;
 
 /// Error type shared by the factorizations and solvers in this crate.

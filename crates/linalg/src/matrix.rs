@@ -283,11 +283,6 @@ impl Matrix {
         m
     }
 
-    /// Frobenius norm.
-    pub fn fro_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Max absolute entry (∞-norm of the vectorized matrix).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
@@ -359,21 +354,6 @@ impl Matrix {
             out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
         }
         Ok(out)
-    }
-
-    /// Whether the matrix is symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for i in 0..self.rows {
-            for j in (i + 1)..self.cols {
-                if (self[(i, j)] - self[(j, i)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Add `s * I` to the matrix in place (Tikhonov / Levenberg damping).
@@ -611,18 +591,8 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_check() {
-        let s = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        assert!(s.is_symmetric(0.0));
-        let ns = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 2.0]]);
-        assert!(!ns.is_symmetric(1e-9));
-        assert!(!Matrix::zeros(2, 3).is_symmetric(1.0));
-    }
-
-    #[test]
     fn norms() {
         let m = Matrix::from_rows(&[&[3.0, 0.0], &[0.0, -4.0]]);
-        assert!(approx(m.fro_norm(), 5.0));
         assert!(approx(m.max_abs(), 4.0));
     }
 

@@ -57,11 +57,6 @@ impl Vector {
         &mut self.data
     }
 
-    /// Consume into the underlying `Vec`.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Dot product.
     ///
     /// # Panics

@@ -73,7 +73,7 @@ impl Gauge {
 
 /// Lock-free log-bucketed histogram over non-negative `f64` samples.
 ///
-/// Buckets are geometric with [`SUBS_PER_OCTAVE`] sub-buckets per octave,
+/// Buckets are geometric with eight sub-buckets per octave,
 /// so quantile estimates carry ≈ ±4.5 % relative error — plenty for
 /// latency distributions spanning nanoseconds to seconds. Exact min, max,
 /// sum, and count are tracked on the side.

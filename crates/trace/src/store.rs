@@ -169,56 +169,6 @@ impl UtilizationTrace {
         Ok(())
     }
 
-    /// Write as TSV: a header row naming the columns, then one row per VM
-    /// (`vm`, `sector`, `nominal_ghz`, `memory_mib`, `u0`…). Hand-rolled —
-    /// the workspace has no serialization dependency by design.
-    pub fn write_tsv<W: Write>(&self, w: W) -> Result<(), TraceError> {
-        let mut out = BufWriter::new(w);
-        write!(out, "vm\tsector\tnominal_ghz\tmemory_mib")?;
-        for t in 0..self.n_samples {
-            write!(out, "\tu{t}")?;
-        }
-        writeln!(out)?;
-        for vm in 0..self.n_vms {
-            let m = &self.meta[vm];
-            write!(
-                out,
-                "{vm}\t{}\t{}\t{}",
-                m.sector.name(),
-                m.nominal_ghz,
-                m.memory_mib
-            )?;
-            for &u in self.series(vm) {
-                write!(out, "\t{u:.4}")?;
-            }
-            writeln!(out)?;
-        }
-        out.flush()?;
-        Ok(())
-    }
-
-    /// Write the per-VM metadata as a hand-rolled JSON array, one object
-    /// per VM: `{"vm":0,"sector":"retail","nominal_ghz":2.0,…}`.
-    pub fn write_meta_json<W: Write>(&self, w: W) -> Result<(), TraceError> {
-        let mut out = BufWriter::new(w);
-        write!(out, "[")?;
-        for (vm, m) in self.meta.iter().enumerate() {
-            if vm > 0 {
-                write!(out, ",")?;
-            }
-            write!(
-                out,
-                "{{\"vm\":{vm},\"sector\":\"{}\",\"nominal_ghz\":{},\"memory_mib\":{}}}",
-                m.sector.name(),
-                m.nominal_ghz,
-                m.memory_mib
-            )?;
-        }
-        writeln!(out, "]")?;
-        out.flush()?;
-        Ok(())
-    }
-
     /// Read the CSV format produced by [`UtilizationTrace::write_csv`].
     pub fn read_csv<R: BufRead>(r: R) -> Result<UtilizationTrace, TraceError> {
         let mut lines = r.lines();
@@ -364,35 +314,6 @@ mod tests {
                 assert!((parsed.utilization(vm, k) - t.utilization(vm, k)).abs() < 1e-3);
             }
         }
-    }
-
-    #[test]
-    fn tsv_has_header_and_rows() {
-        let t = small_trace();
-        let mut buf = Vec::new();
-        t.write_tsv(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let mut lines = text.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "vm\tsector\tnominal_ghz\tmemory_mib\tu0\tu1\tu2"
-        );
-        let row: Vec<&str> = lines.next().unwrap().split('\t').collect();
-        assert_eq!(&row[..4], &["0", "financial", "2", "1024"]);
-        assert_eq!(row.len(), 4 + 3);
-        assert_eq!(text.lines().count(), 1 + 2);
-    }
-
-    #[test]
-    fn meta_json_is_wellformed() {
-        let t = small_trace();
-        let mut buf = Vec::new();
-        t.write_meta_json(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.starts_with('[') && text.trim_end().ends_with(']'));
-        assert!(text.contains("\"sector\":\"financial\""));
-        assert!(text.contains("\"vm\":1"));
-        assert_eq!(text.matches("{\"vm\":").count(), 2);
     }
 
     #[test]

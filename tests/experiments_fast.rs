@@ -4,9 +4,7 @@
 //! EXPERIMENTS.md and the `fig*` binaries.
 
 use vdcpower::core::controller::IdentificationConfig;
-use vdcpower::core::experiments::{
-    fig3_static_baseline, fig4_with_plant, fig5_with_plant, PlantKind,
-};
+use vdcpower::core::experiments::{fig3_static_baseline, fig4, fig5, PlantKind};
 use vdcpower::core::testbed::TestbedConfig;
 
 fn ident() -> IdentificationConfig {
@@ -18,7 +16,7 @@ fn ident() -> IdentificationConfig {
 
 #[test]
 fn fig4_sweep_on_analytic_plant_tracks_setpoint() {
-    let points = fig4_with_plant(
+    let points = fig4(
         &[30, 50, 70],
         1000.0,
         &ident(),
@@ -42,7 +40,7 @@ fn fig4_sweep_on_analytic_plant_tracks_setpoint() {
 
 #[test]
 fn fig5_sweep_on_analytic_plant_tracks_every_setpoint() {
-    let points = fig5_with_plant(
+    let points = fig5(
         &[700.0, 1000.0, 1300.0],
         40,
         &ident(),

@@ -63,7 +63,11 @@ fn telemetry_state(t: &Telemetry) -> (Vec<(String, u64)>, Vec<SloState>) {
     (counters, slo)
 }
 
-fn cosim_at(trace: &UtilizationTrace, shards: usize) -> (CosimResult, Telemetry) {
+fn cosim_at(
+    trace: &UtilizationTrace,
+    shards: usize,
+    pods: Option<usize>,
+) -> (CosimResult, Telemetry) {
     let cfg = CosimConfig {
         n_apps: 6,
         control_periods_per_sample: 2,
@@ -72,9 +76,12 @@ fn cosim_at(trace: &UtilizationTrace, shards: usize) -> (CosimResult, Telemetry)
         ..Default::default()
     };
     let telemetry = Telemetry::enabled();
-    let opts = RunOptions::default()
-        .with_telemetry(&telemetry)
-        .with_shards(shards);
+    let opts = RunOptions {
+        pods,
+        ..RunOptions::default()
+            .with_telemetry(&telemetry)
+            .with_shards(shards)
+    };
     let result = run_cosim(trace, &cfg, &opts).expect("cosim runs");
     (result, telemetry)
 }
@@ -115,16 +122,32 @@ fn assert_cosim_identical(a: &CosimResult, b: &CosimResult, ctx: &str) {
 #[test]
 fn cosim_is_bit_identical_across_shard_counts() {
     let trace = fast_trace(6, 0x7ACE);
-    let (baseline, base_tel) = cosim_at(&trace, 1);
-    let base_state = telemetry_state(&base_tel);
-    for shards in SHARD_COUNTS {
-        let (r, tel) = cosim_at(&trace, shards);
-        assert_cosim_identical(&baseline, &r, &format!("cosim shards={shards}"));
-        assert_eq!(
-            base_state,
-            telemetry_state(&tel),
-            "cosim shards={shards}: telemetry counters/SLO diverged"
-        );
+    // Flat planning, then pods of 2: `with_pods` must reach the
+    // co-simulation's optimizer and stay bit-identical across shards.
+    for pods in [None, Some(2)] {
+        let (baseline, base_tel) = cosim_at(&trace, 1, pods);
+        if pods.is_some() {
+            let pod_invocations = base_tel
+                .counter_values()
+                .into_iter()
+                .find(|(n, _)| n == "optimizer.pod_invocations")
+                .map(|(_, v)| v);
+            assert!(
+                pod_invocations.is_some_and(|n| n > 0),
+                "with_pods must drive the pod planner, got {pod_invocations:?}"
+            );
+        }
+        let base_state = telemetry_state(&base_tel);
+        for shards in SHARD_COUNTS {
+            let (r, tel) = cosim_at(&trace, shards, pods);
+            let ctx = format!("cosim pods={pods:?} shards={shards}");
+            assert_cosim_identical(&baseline, &r, &ctx);
+            assert_eq!(
+                base_state,
+                telemetry_state(&tel),
+                "{ctx}: telemetry counters/SLO diverged"
+            );
+        }
     }
 }
 
@@ -503,8 +526,8 @@ fn env_shards() -> usize {
 fn env_selected_shard_count_matches_baseline() {
     let shards = env_shards();
     let trace = fast_trace(6, 0xC1);
-    let (baseline, _) = cosim_at(&trace, 1);
-    let (r, _) = cosim_at(&trace, shards);
+    let (baseline, _) = cosim_at(&trace, 1, None);
+    let (r, _) = cosim_at(&trace, shards, None);
     assert_cosim_identical(&baseline, &r, &format!("cosim VDC_SHARDS={shards}"));
 }
 
