@@ -39,6 +39,11 @@ run cargo clippy --all-targets --offline -- -D warnings
 run cargo build --release --offline
 run cargo test -q --offline
 
+# The benchmark is a workspace of its own (perfbench/), so the steps above
+# never build it: build it and run its self-tests here, so an API change in
+# the crates it calls cannot break it unnoticed.
+run cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Documentation must build clean (broken intra-doc links and malformed
 # examples fail here, not on docs.rs).
 run cargo doc --no-deps --offline

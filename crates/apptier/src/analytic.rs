@@ -3,12 +3,16 @@
 //! A drop-in [`Plant`] whose "simulation" costs microseconds: mean response
 //! time comes from exact MVA of the closed PS network, and per-request
 //! samples are drawn log-normally around it so percentile monitors see
-//! realistic spread. Useful for controller tuning sweeps and tests where
+//! realistic spread. Each flush solves MVA once and draws its samples with
+//! the log-normal constants hoisted out of the loop, and a controller
+//! reads its SLA metric from them by an `O(n)` selection
+//! ([`SlaMetric::measure`](crate::monitor::SlaMetric::measure)), not a
+//! sort. Useful for controller tuning sweeps and tests where
 //! the discrete-event engine would dominate run time — and as an
 //! independent cross-check of the DES (they agree on means; see
 //! `mva::tests::matches_des_simulator_for_exponential_service`).
 
-use crate::mva::mva_closed_network;
+use crate::mva::{mva_closed_network, MvaResult};
 use crate::plant::Plant;
 use crate::profile::WorkloadProfile;
 use crate::rng::SimRng;
@@ -61,10 +65,9 @@ impl AnalyticPlant {
         })
     }
 
-    /// Mean response time (seconds) at the current operating point, from
-    /// exact MVA; `None` when a tier has zero allocation or there are no
-    /// clients.
-    pub fn mean_response_s(&self) -> Option<f64> {
+    /// Exact MVA of the current operating point; `None` when there are no
+    /// clients or a tier has no usable (positive, finite-demand) allocation.
+    fn mva(&self) -> Option<MvaResult> {
         if self.concurrency == 0 {
             return None;
         }
@@ -73,42 +76,21 @@ impl AnalyticPlant {
             .tiers
             .iter()
             .zip(&self.allocations_ghz)
-            .map(|(t, &a)| {
-                if a <= 0.0 {
-                    None
-                } else {
-                    Some(t.mean_cycles / (a * 1e9))
-                }
-            })
+            .map(|(t, &a)| (a > 0.0).then(|| t.mean_cycles / (a * 1e9)))
             .collect();
         mva_closed_network(&demands?, self.profile.think_time, self.concurrency)
-            .map(|r| r.response_time)
+    }
+
+    /// Mean response time (seconds) at the current operating point, from
+    /// exact MVA; `None` when a tier has zero allocation or there are no
+    /// clients.
+    pub fn mean_response_s(&self) -> Option<f64> {
+        self.mva().map(|r| r.response_time)
     }
 
     /// Throughput (requests/second) at the current operating point.
     pub fn throughput(&self) -> f64 {
-        if self.concurrency == 0 {
-            return 0.0;
-        }
-        let demands: Vec<f64> = self
-            .profile
-            .tiers
-            .iter()
-            .zip(&self.allocations_ghz)
-            .map(|(t, &a)| {
-                if a <= 0.0 {
-                    f64::INFINITY
-                } else {
-                    t.mean_cycles / (a * 1e9)
-                }
-            })
-            .collect();
-        if demands.iter().any(|d| !d.is_finite()) {
-            return 0.0;
-        }
-        mva_closed_network(&demands, self.profile.think_time, self.concurrency)
-            .map(|r| r.throughput)
-            .unwrap_or(0.0)
+        self.mva().map_or(0.0, |r| r.throughput)
     }
 
     /// Maximum synthetic samples emitted per flush. A percentile estimate
@@ -119,26 +101,47 @@ impl AnalyticPlant {
 
     /// Synthesize the completions accumulated in `pending_time_s`.
     fn flush(&mut self) {
-        let mean = match self.mean_response_s() {
-            Some(m) if m > 0.0 => m,
+        // One MVA solve yields both the mean and the completion rate.
+        let (mean, x) = match self.mva() {
+            Some(r) if r.response_time > 0.0 => (r.response_time, r.throughput),
             _ => {
                 // Starved plant: nothing completes, time still passes (the
                 // DES shows the same behaviour with zero capacity).
                 return;
             }
         };
-        let x = self.throughput();
         let expected = x * self.pending_time_s;
         if expected < 1.0 {
             return; // not enough virtual time for even one completion
         }
         let n = expected.floor() as usize;
         self.pending_time_s -= n as f64 / x;
-        for _ in 0..n.min(Self::MAX_SAMPLES_PER_FLUSH) {
-            self.completed
-                .push(self.rng.lognormal(mean, self.response_cv));
-        }
+        extend_lognormal(
+            &mut self.completed,
+            &mut self.rng,
+            mean,
+            self.response_cv,
+            n.min(Self::MAX_SAMPLES_PER_FLUSH),
+        );
     }
+}
+
+/// Append `n` draws of [`SimRng::lognormal`]`(mean, cv)` for a positive
+/// `mean` to `out`, with the log-space constants computed once instead of
+/// once per draw. Each draw consumes the same `standard_normal` call and
+/// evaluates the same expression, so the output bits and the RNG stream
+/// are exactly those of `n` calls to `rng.lognormal(mean, cv)`.
+fn extend_lognormal(out: &mut Vec<f64>, rng: &mut SimRng, mean: f64, cv: f64, n: usize) {
+    debug_assert!(mean > 0.0, "flush samples only around a positive mean");
+    if cv <= 0.0 {
+        // `lognormal` returns the mean without touching the RNG.
+        out.extend(std::iter::repeat_n(mean, n));
+        return;
+    }
+    let sigma2 = (1.0 + cv * cv).ln();
+    let mu = mean.ln() - sigma2 / 2.0;
+    let sigma = sigma2.sqrt();
+    out.extend((0..n).map(|_| (mu + sigma * rng.standard_normal()).exp()));
 }
 
 impl Plant for AnalyticPlant {
@@ -237,6 +240,31 @@ mod tests {
             rel < 0.25,
             "analytic {p90_a:.3}s vs DES {p90_d:.3}s ({rel:.2})"
         );
+    }
+
+    /// The hoisted sampler is pinned to the per-draw `SimRng::lognormal`
+    /// stream: same output bits, same generator state afterwards.
+    #[test]
+    fn hoisted_sampler_matches_per_draw_lognormal_bits() {
+        let cases = [
+            (0.25, 0.45, 9),
+            (1.7e-3, 0.35, 1),
+            (12.0, 0.6, 77),
+            (0.8, 3.0, 2024),
+            (0.5, 0.0, 5),
+        ];
+        for (mean, cv, seed) in cases {
+            let mut hoisted_rng = SimRng::seed_from_u64(seed);
+            let mut hoisted = vec![-1.0];
+            extend_lognormal(&mut hoisted, &mut hoisted_rng, mean, cv, 500);
+            let mut reference_rng = SimRng::seed_from_u64(seed);
+            let reference: Vec<f64> = std::iter::once(-1.0)
+                .chain((0..500).map(|_| reference_rng.lognormal(mean, cv)))
+                .collect();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&hoisted), bits(&reference), "({mean}, {cv}, {seed})");
+            assert_eq!(hoisted_rng, reference_rng, "({mean}, {cv}, {seed})");
+        }
     }
 
     #[test]

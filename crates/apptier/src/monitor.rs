@@ -5,11 +5,19 @@
 //! other SLAs (§III). [`ResponseStats`] therefore exposes arbitrary
 //! percentiles alongside mean/max, and [`SlaMetric`] selects which one a
 //! controller tracks.
+//!
+//! A controller reads one statistic per control period, so it measures
+//! through [`SlaMetric::measure`]: an `O(n)` selection of the nearest-rank
+//! order statistic instead of the `O(n log n)` sort [`ResponseStats`]
+//! pays to answer every query. Both share one nearest-rank rule and one
+//! sample order, so they agree bit for bit.
 
 /// Which response-time statistic a controller treats as the SLA metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SlaMetric {
-    /// A percentile in `(0, 100]` — the paper uses 90.
+    /// A percentile in `[0, 100]` by the nearest-rank method — the paper
+    /// uses 90. Evaluation clamps `p` into range; the controllers reject
+    /// an out-of-range or non-finite `p` at configuration time.
     Percentile(f64),
     /// Mean response time.
     Mean,
@@ -32,11 +40,48 @@ impl SlaMetric {
             SlaMetric::Max => stats.max(),
         })
     }
+
+    /// Measure this metric over a drained batch of samples in `O(n)`;
+    /// `None` when no finite sample remains.
+    ///
+    /// Bit-identical to `self.evaluate(&ResponseStats::from_samples(samples))`:
+    /// non-finite samples are dropped the same way, a percentile is the
+    /// element a sort would put at the same nearest-rank index (selected
+    /// with the same total order), the maximum is an order-free fold, and
+    /// the mean keeps the sorted-order sum so its rounding is unchanged.
+    pub fn measure(&self, mut samples: Vec<f64>) -> Option<f64> {
+        samples.retain(|v| v.is_finite());
+        match *self {
+            SlaMetric::Percentile(p) => {
+                if samples.is_empty() {
+                    return None;
+                }
+                let k = nearest_rank_index(p, samples.len());
+                Some(*samples.select_nth_unstable_by(k, f64::total_cmp).1)
+            }
+            SlaMetric::Mean => self.evaluate(&ResponseStats::from_samples(samples)),
+            SlaMetric::Max => samples.into_iter().max_by(f64::total_cmp),
+        }
+    }
+}
+
+/// Index into the ascending order of `n ≥ 1` samples of the nearest-rank
+/// `p`-th percentile: the smallest sample such that at least `p`% of
+/// samples are ≤ it. `p` is clamped into `[0, 100]`.
+fn nearest_rank_index(p: f64, n: usize) -> usize {
+    let p = p.clamp(0.0, 100.0);
+    if p == 0.0 {
+        return 0;
+    }
+    let rank = ((p / 100.0) * n as f64).ceil() as usize;
+    rank.clamp(1, n) - 1
 }
 
 /// Summary statistics over a batch of response-time samples.
 ///
-/// Construction sorts the samples once; every query is then `O(1)`.
+/// Construction sorts the samples once; every query is then `O(1)`. Use
+/// it when several statistics of one batch are wanted; a single SLA
+/// metric is cheaper through [`SlaMetric::measure`], an `O(n)` selection.
 #[derive(Debug, Clone, Default)]
 pub struct ResponseStats {
     sorted: Vec<f64>,
@@ -48,7 +93,7 @@ impl ResponseStats {
     /// samples are dropped defensively).
     pub fn from_samples(mut samples: Vec<f64>) -> ResponseStats {
         samples.retain(|v| v.is_finite());
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("finite after retain"));
+        samples.sort_by(f64::total_cmp);
         let sum = samples.iter().sum();
         ResponseStats {
             sorted: samples,
@@ -95,21 +140,15 @@ impl ResponseStats {
         self.sorted.last().copied().unwrap_or(0.0)
     }
 
-    /// Percentile `p ∈ (0, 100]` by the nearest-rank method (0 if empty).
+    /// Percentile `p ∈ [0, 100]` by the nearest-rank method (0 if empty).
     ///
     /// Nearest rank is what `ab`-style tools report: the smallest sample
     /// such that at least `p`% of samples are ≤ it.
     pub fn percentile(&self, p: f64) -> f64 {
-        let n = self.sorted.len();
-        if n == 0 {
+        if self.sorted.is_empty() {
             return 0.0;
         }
-        let p = p.clamp(0.0, 100.0);
-        if p == 0.0 {
-            return self.sorted[0];
-        }
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        self.sorted[rank.clamp(1, n) - 1]
+        self.sorted[nearest_rank_index(p, self.sorted.len())]
     }
 
     /// The paper's SLA metric: the 90th percentile.

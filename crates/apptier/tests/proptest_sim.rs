@@ -1,7 +1,7 @@
 //! Property-based tests for the plant: conservation laws and statistics
 //! invariants that must hold for any workload configuration.
 
-use vdc_apptier::monitor::ResponseStats;
+use vdc_apptier::monitor::{ResponseStats, SlaMetric};
 use vdc_apptier::{AppSim, TierDemand, WorkloadProfile};
 use vdc_check::{check, f64_range, from_fn, prop_assert, prop_assert_eq, vec_of, Gen, TestRng};
 
@@ -138,4 +138,69 @@ fn std_dev_zero_iff_constant() {
             Ok(())
         },
     );
+}
+
+/// A sample batch as a monitor might drain it, and worse: empty sets,
+/// runs of duplicates, signed zeros, ±inf and NaN mixed into draws from a
+/// few scales (up to 2,100 samples, past the analytic plant's per-flush
+/// cap).
+fn gen_batch(rng: &mut TestRng) -> Vec<f64> {
+    const SPECIAL: [f64; 6] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1.5];
+    let n = match rng.usize_in(0, 8) {
+        0 => 0,
+        1 => rng.usize_in(1800, 2100),
+        _ => rng.usize_in(1, 40),
+    };
+    let scale = [1e-3, 1.0, 1e6][rng.usize_in(0, 3)];
+    // One batch in four draws only from the special values and their
+    // negations, so ties, signed zeros and all-non-finite sets are common.
+    let special_only = rng.usize_in(0, 4) == 0;
+    let mut v: Vec<f64> = Vec::with_capacity(n);
+    while v.len() < n {
+        let x = if special_only {
+            let x = SPECIAL[rng.usize_in(0, SPECIAL.len())];
+            if rng.bool() {
+                -x
+            } else {
+                x
+            }
+        } else {
+            match rng.usize_in(0, 10) {
+                0 => SPECIAL[rng.usize_in(0, SPECIAL.len())],
+                1 if !v.is_empty() => v[rng.usize_in(0, v.len())],
+                2 => -rng.f64_in(0.0, scale),
+                _ => rng.f64_in(0.0, scale),
+            }
+        };
+        v.push(x);
+    }
+    v
+}
+
+#[test]
+fn measure_is_bit_identical_to_sorted_evaluate() {
+    let metrics = [
+        SlaMetric::Percentile(0.0),
+        SlaMetric::Percentile(1e-9),
+        SlaMetric::Percentile(50.0),
+        SlaMetric::P90,
+        SlaMetric::Percentile(100.0),
+        SlaMetric::Percentile(150.0),
+        SlaMetric::Mean,
+        SlaMetric::Max,
+    ];
+    check(256, &from_fn(gen_batch), |samples: &Vec<f64>| {
+        let stats = ResponseStats::from_samples(samples.clone());
+        for metric in metrics {
+            let selected = metric.measure(samples.clone());
+            let sorted = metric.evaluate(&stats);
+            prop_assert_eq!(
+                selected.map(f64::to_bits),
+                sorted.map(f64::to_bits),
+                "{metric:?} over {} samples: {selected:?} vs {sorted:?}",
+                samples.len()
+            );
+        }
+        Ok(())
+    });
 }

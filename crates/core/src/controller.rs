@@ -7,7 +7,7 @@
 //! per-tier CPU allocations every control period.
 
 use crate::{CoreError, Result};
-use vdc_apptier::monitor::{ResponseStats, SlaMetric};
+use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::Plant;
 use vdc_control::sysid::{fit_arx, ExperimentData, Prbs};
 use vdc_control::{ArxModel, MpcConfig, MpcController, ReferenceTrajectory};
@@ -62,18 +62,32 @@ impl Default for IdentificationConfig {
     }
 }
 
+/// Reject a percentile metric whose `p` is non-finite or outside
+/// `[0, 100]`: evaluation would silently clamp it (a NaN `p` would read the
+/// minimum sample), so a typo would regulate the wrong statistic.
+fn check_metric(metric: SlaMetric) -> Result<()> {
+    match metric {
+        SlaMetric::Percentile(p) if !(0.0..=100.0).contains(&p) => Err(CoreError::BadConfig(
+            format!("SLA percentile {p} must be finite and in [0, 100]"),
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Identify an eq. (1)-style ARX model for `plant` by PRBS excitation.
 ///
 /// The plant is driven for `cfg.periods` control periods with independent
 /// per-tier PRBS allocation signals; the 90-percentile response time of
 /// each period is regressed on the allocation history. The plant is
 /// *consumed* mutably — identify on a dedicated instance (or accept the
-/// warm-up perturbation, as a real testbed would).
+/// warm-up perturbation, as a real testbed would). A percentile metric
+/// outside `[0, 100]` (or NaN) is rejected as [`CoreError::BadConfig`].
 pub fn identify_plant<P: Plant + ?Sized>(
     plant: &mut P,
     cfg: &IdentificationConfig,
     seed: u64,
 ) -> Result<ArxModel> {
+    check_metric(cfg.metric)?;
     let n_tiers = plant.n_tiers();
     let mut prbs: Vec<Prbs> = (0..n_tiers)
         .map(|i| {
@@ -90,8 +104,7 @@ pub fn identify_plant<P: Plant + ?Sized>(
         let alloc: Vec<f64> = prbs.iter_mut().map(|p| p.next_level()).collect();
         plant.set_allocations(&alloc)?;
         plant.run_for(cfg.period_s);
-        let stats = ResponseStats::from_samples(plant.take_completed());
-        let Some(value) = cfg.metric.evaluate(&stats) else {
+        let Some(value) = cfg.metric.measure(plant.take_completed()) else {
             // Starved period: skip the sample (no measurement, like a
             // monitor timeout on the real testbed).
             continue;
@@ -173,9 +186,13 @@ impl ResponseTimeController {
 
     /// Change the regulated SLA statistic (§III: "can be extended to
     /// control other SLAs such as average or maximum response times").
-    /// Use the same metric the model was identified with.
-    pub fn set_metric(&mut self, metric: SlaMetric) {
+    /// Use the same metric the model was identified with. A percentile
+    /// outside `[0, 100]` (or NaN) is rejected as [`CoreError::BadConfig`]
+    /// and leaves the metric unchanged.
+    pub fn set_metric(&mut self, metric: SlaMetric) -> Result<()> {
+        check_metric(metric)?;
         self.metric = metric;
+        Ok(())
     }
 
     /// Attach a telemetry sink to the underlying MPC (phase-split timings
@@ -272,8 +289,7 @@ impl ResponseTimeController {
     pub fn control_period<P: Plant + ?Sized>(&mut self, plant: &mut P) -> Result<Option<f64>> {
         plant.set_allocations(self.allocation())?;
         plant.run_for(self.period_s);
-        let stats = ResponseStats::from_samples(plant.take_completed());
-        if stats.is_empty() {
+        let Some(t_s) = self.metric.measure(plant.take_completed()) else {
             // No completions (severely starved): push allocations up by the
             // rate limit to recover, as a watchdog would.
             let bumped: Vec<f64> = self
@@ -293,12 +309,8 @@ impl ResponseTimeController {
             self.force_allocation(&merged);
             self.last_measurement_ms = None;
             return Ok(None);
-        }
-        let t_ms = self
-            .metric
-            .evaluate(&stats)
-            .expect("non-empty stats evaluate for every metric")
-            * 1000.0;
+        };
+        let t_ms = t_s * 1000.0;
         self.last_measurement_ms = Some(t_ms);
         let filtered = match self.filtered_ms {
             Some(prev) => MEASUREMENT_EWMA_ALPHA * t_ms + (1.0 - MEASUREMENT_EWMA_ALPHA) * prev,
@@ -446,7 +458,7 @@ mod metric_tests {
         let model = identify_plant(&mut twin, &ident, 41).unwrap();
         // Target the mean at 600 ms (mean sits well below the p90).
         let mut ctrl = ResponseTimeController::new(model, 600.0, 4.0, &[1.0, 1.0]).unwrap();
-        ctrl.set_metric(SlaMetric::Mean);
+        ctrl.set_metric(SlaMetric::Mean).unwrap();
         assert_eq!(ctrl.metric(), SlaMetric::Mean);
         let mut plant = AppSim::new(WorkloadProfile::rubbos(), 30, &[1.0, 1.0], 43).unwrap();
         let mut tail = Vec::new();
@@ -462,6 +474,37 @@ mod metric_tests {
             (mean - 600.0).abs() < 120.0,
             "controlled mean {mean:.0} ms vs 600 ms target"
         );
+    }
+
+    /// A percentile outside `[0, 100]` or a NaN `p` is a configuration
+    /// error, not a silent clamp to the minimum or maximum sample.
+    #[test]
+    fn bad_percentile_is_rejected() {
+        let model = ArxModel::new(vec![0.4], vec![vec![-100.0, -80.0]], 1200.0).unwrap();
+        let mut ctrl = ResponseTimeController::new(model, 600.0, 4.0, &[1.0, 1.0]).unwrap();
+        let mut twin = AppSim::new(WorkloadProfile::rubbos(), 30, &[1.0, 1.0], 41).unwrap();
+        for p in [f64::NAN, f64::INFINITY, -1.0, 100.5, 150.0] {
+            let bad = SlaMetric::Percentile(p);
+            assert!(
+                matches!(ctrl.set_metric(bad), Err(CoreError::BadConfig(_))),
+                "p = {p}"
+            );
+            assert_eq!(ctrl.metric(), SlaMetric::P90, "p = {p}");
+            let cfg = IdentificationConfig {
+                metric: bad,
+                ..Default::default()
+            };
+            assert!(
+                matches!(
+                    identify_plant(&mut twin, &cfg, 41),
+                    Err(CoreError::BadConfig(_))
+                ),
+                "p = {p}"
+            );
+        }
+        for p in [0.0, 1e-9, 50.0, 100.0] {
+            ctrl.set_metric(SlaMetric::Percentile(p)).unwrap();
+        }
     }
 
     /// Identification under the mean metric produces lower bias/levels

@@ -26,6 +26,7 @@ use crate::optimizer::OptimizerConfig;
 use crate::run::RunOptions;
 use crate::tier::{ControllerSpec, TierController};
 use crate::{CoreError, Result};
+use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::rng::{seed_stream, SimRng};
 use vdc_apptier::{AnalyticPlant, Plant, WorkloadProfile};
 use vdc_consolidate::item::PackItem;
@@ -140,9 +141,8 @@ fn app_sample_periods(
         } else {
             app.plant.set_allocations(&app.static_alloc)?;
             app.plant.run_for(period_s);
-            let stats =
-                vdc_apptier::monitor::ResponseStats::from_samples(app.plant.take_completed());
-            (!masked && !stats.is_empty()).then(|| stats.p90() * 1000.0)
+            let p90 = SlaMetric::P90.measure(app.plant.take_completed());
+            p90.filter(|_| !masked).map(|t| t * 1000.0)
         };
         measured.push(m);
     }
