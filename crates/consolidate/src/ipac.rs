@@ -69,6 +69,9 @@ pub struct IpacStats {
     /// workers. The rest of the invocation (eviction scans, commit loops,
     /// the final diff) is sequential.
     pub search_ns: u64,
+    /// Minimum Slack steps (constraint evaluations) summed over every PAC
+    /// pack of the invocation — a host-independent measure of search work.
+    pub steps: u64,
 }
 
 /// [`ipac_plan`] plus the invocation's [`IpacStats`].
@@ -113,6 +116,7 @@ pub fn ipac_plan_stats(
     let mut stats = IpacStats::default();
     let first = pac_pack(&mut state, &migration_list, constraint, &cfg.minslack);
     stats.search_ns += first.search_ns;
+    stats.steps += first.total_steps;
 
     // Anything unplaceable returns home (accepting temporary CPU overload)
     // so the data center stays consistent. Care: PAC may have just packed
@@ -213,6 +217,7 @@ pub fn ipac_plan_stats(
             .collect();
         let res = pac_pack(&mut others, &drained, constraint, &cfg.minslack);
         stats.search_ns += res.search_ns;
+        stats.steps += res.total_steps;
 
         let mut revert = !res.is_complete();
         let mut round_moves: Vec<Move> = Vec::new();

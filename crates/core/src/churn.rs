@@ -37,7 +37,7 @@
 
 use crate::engine::{Core, Workload};
 use crate::largescale::{self, LargeScaleConfig, LargeScaleResult, TraceDemand, DEMAND_SPAN};
-use crate::optimizer::snapshot_sharded;
+use crate::optimizer::{snapshot_sharded, MINSLACK_STEPS};
 use crate::run::RunOptions;
 use crate::{CoreError, Result};
 use std::collections::{BTreeMap, VecDeque};
@@ -325,6 +325,7 @@ impl Churn<'_, '_> {
         // capacity; drop them so the wake fallback can't select one.
         sleeping_view.retain(|s| s.cpu_capacity_ghz > 0.0);
         let first = pac_pack(&mut active_view, &items, &constraint, &minslack);
+        telemetry.incr(MINSLACK_STEPS, first.total_steps);
         self.place_assignments(dc, &active_view, &first.assignments, t, t)?;
         self.admitted += first.assignments.len() as u64;
         telemetry.incr("churn.admitted", first.assignments.len() as u64);
@@ -344,6 +345,7 @@ impl Churn<'_, '_> {
                 .cloned()
                 .collect();
             let second = pac_pack(&mut sleeping_view, &retry_items, &constraint, &minslack);
+            telemetry.incr(MINSLACK_STEPS, second.total_steps);
             // Model the host's wake latency as an admission delay: the VM
             // occupies its slot now but its demand starts next sample, and
             // the wait is recorded against the churn.wake_wait_ns histogram.

@@ -13,7 +13,9 @@
 //! stage order.
 
 use crate::largescale::{LargeScaleResult, WeekSample};
-use crate::optimizer::{apply_faulted, snapshot_sharded, OptimizerConfig, PowerOptimizer};
+use crate::optimizer::{
+    apply_faulted, snapshot_sharded, OptimizerConfig, PowerOptimizer, MINSLACK_STEPS,
+};
 use crate::run::RunOptions;
 use crate::Result;
 use vdc_consolidate::constraint::AndConstraint;
@@ -449,6 +451,7 @@ fn evacuate_vms(
     // zero-demand item would otherwise "fit").
     sleeping_view.retain(|s| s.cpu_capacity_ghz > 0.0);
     let first = pac_pack(&mut active_view, &items, &constraint, &minslack);
+    telemetry.incr(MINSLACK_STEPS, first.total_steps);
     for &(id, si) in &first.assignments {
         dc.place_vm(
             by_id[&id.0],
@@ -463,6 +466,7 @@ fn evacuate_vms(
             .cloned()
             .collect();
         let second = pac_pack(&mut sleeping_view, &spill_items, &constraint, &minslack);
+        telemetry.incr(MINSLACK_STEPS, second.total_steps);
         for &(id, si) in &second.assignments {
             // `place_vm` auto-wakes the sleeping target.
             dc.place_vm(

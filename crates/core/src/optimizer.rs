@@ -8,7 +8,7 @@
 use crate::Result;
 use std::collections::BTreeSet;
 use vdc_consolidate::constraint::AndConstraint;
-use vdc_consolidate::ipac::{ipac_plan_stats, IpacConfig};
+use vdc_consolidate::ipac::{ipac_plan_stats, IpacConfig, IpacStats};
 use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::MinSlackConfig;
 use vdc_consolidate::pac::pac_pack;
@@ -19,6 +19,12 @@ use vdc_consolidate::view::{apply_plan, apply_plan_fallible, ApplyStats};
 use vdc_dcsim::{DataCenter, ServerHandle, VmId};
 use vdc_faults::FaultSession;
 use vdc_telemetry::Telemetry;
+
+/// Telemetry counter: Minimum Slack steps (constraint evaluations) summed
+/// over every PAC pack — pods, spill, rebalance, drain, flat IPAC, fault
+/// evacuation and churn admission. Deterministic, so it gates search work
+/// exactly on any host.
+pub(crate) const MINSLACK_STEPS: &str = "optimizer.minslack_steps";
 
 /// Build the consolidation snapshot with per-server view construction
 /// fanned out over `shards` workers ([`crate::shard`]).
@@ -278,6 +284,7 @@ impl PowerOptimizer {
                 // workers; everything else in the invocation is serial.
                 self.telemetry
                     .record("optimizer.pack_search_ns", stats.search_ns as f64);
+                self.telemetry.incr(MINSLACK_STEPS, stats.steps);
                 plan
             }
             Algorithm::Pmapper => pmapper_plan(snap, new_items, &self.cfg.constraint),
@@ -433,9 +440,12 @@ impl PowerOptimizer {
                 Algorithm::Ipac => {
                     let (plan, stats) =
                         ipac_plan_stats(view, &pod_items[p], constraint, policy, &ipac_cfg);
-                    (plan, stats.search_ns)
+                    (plan, stats)
                 }
-                Algorithm::Pmapper => (pmapper_plan(view, &pod_items[p], constraint), 0),
+                Algorithm::Pmapper => (
+                    pmapper_plan(view, &pod_items[p], constraint),
+                    IpacStats::default(),
+                ),
             }
         });
 
@@ -444,15 +454,18 @@ impl PowerOptimizer {
         // survives slicing).
         let mut plan = ConsolidationPlan::default();
         let mut search_ns = 0u64;
-        for (pod_plan, ns) in pod_plans {
+        let mut steps = 0u64;
+        for (pod_plan, stats) in pod_plans {
             plan.moves.extend(pod_plan.moves);
             plan.servers_to_sleep.extend(pod_plan.servers_to_sleep);
             plan.servers_to_wake.extend(pod_plan.servers_to_wake);
-            search_ns += ns;
+            search_ns += stats.search_ns;
+            steps += stats.steps;
         }
         if algorithm == Algorithm::Ipac {
             self.telemetry
                 .record("optimizer.pack_search_ns", search_ns as f64);
+            self.telemetry.incr(MINSLACK_STEPS, steps);
         }
 
         // Post-plan fleet view (position == global index) for the global
@@ -482,6 +495,7 @@ impl PowerOptimizer {
                 ..self.cfg.ipac.minslack
             };
             let res = pac_pack(&mut post, &spill, constraint, &spill_cfg);
+            self.telemetry.incr(MINSLACK_STEPS, res.total_steps);
             let mut spill_placed = 0u64;
             for &(vm, si) in &res.assignments {
                 let item = spill.iter().find(|it| it.vm == vm).expect("spill item");
@@ -569,6 +583,7 @@ impl PowerOptimizer {
                 };
                 let was_active: Vec<bool> = target.iter().map(|s| s.active).collect();
                 let res = pac_pack(&mut target, &items, constraint, &rebalance_cfg);
+                self.telemetry.incr(MINSLACK_STEPS, res.total_steps);
                 let mut rebalance_moves = 0u64;
                 for &(vm, si) in &res.assignments {
                     let (item, origin) = candidates
@@ -712,6 +727,7 @@ impl PowerOptimizer {
             let items = post[si].resident.clone();
             let mut trial = target.clone();
             let res = pac_pack(&mut trial, &items, &self.cfg.constraint, &drain_cfg);
+            self.telemetry.incr(MINSLACK_STEPS, res.total_steps);
             // Two wins, two commit rules. A *full* drain empties the
             // server and sleeps it — the idle-power saving justifies any
             // active target. A *partial* drain keeps the source awake, so
