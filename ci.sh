@@ -44,6 +44,19 @@ run cargo test -q --offline
 # the crates it calls cannot break it unnoticed.
 run cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+# Run every benchmark workload once through its output checks: the traced
+# mode also checks that the untraced, traced and 2-shard runs of each
+# workload agree bit for bit. The last line of output is a JSON object
+# whose "correct" field must be true.
+echo "==> perfbench: all workloads, traced, output checks"
+bench_last=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seconds 1 --trace 1 | tail -n 1)
+echo "${bench_last%%,\"metrics\"*}}"
+if [[ "$bench_last" != *'"correct":true'* ]]; then
+    echo "perfbench reported incorrect output" >&2
+    exit 1
+fi
+
 # Documentation must build clean (broken intra-doc links and malformed
 # examples fail here, not on docs.rs).
 run cargo doc --no-deps --offline

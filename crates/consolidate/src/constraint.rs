@@ -6,14 +6,57 @@
 //! feasibility rules (the paper's §VII-B example is a memory-size
 //! restriction). A [`Constraint`] decides whether a server can host a
 //! candidate item set on top of its residents.
+//!
+//! Each step of the Minimum Slack search is one [`Constraint::admits_load`]
+//! call on a precomputed [`Load`]: the search carries the server's CPU and
+//! memory totals down its descent as running sums, so the built-in rules
+//! compare two numbers instead of re-summing the residents and the whole
+//! candidate stack. Rules compose statically ([`AndConstraint`] is a generic
+//! pair), so the search monomorphizes and inlines the whole rule set.
+//! [`Constraint::admits`] builds the [`Load`] from scratch for callers that
+//! test one placement at a time.
 
 use crate::item::{PackItem, PackServer};
 
-/// A feasibility rule for placing `candidates` on `server` (in addition to
+/// A server's totals once `candidates` are placed on it, on top of its
+/// residents.
+#[derive(Debug, Clone, Copy)]
+pub struct Load<'a> {
+    /// The candidate items being placed.
+    pub candidates: &'a [PackItem],
+    /// Resident plus candidate CPU demand (GHz).
+    pub cpu_ghz: f64,
+    /// Resident plus candidate memory (MiB).
+    pub mem_mib: f64,
+}
+
+impl<'a> Load<'a> {
+    /// The load of `candidates` on `server`, summed from scratch:
+    /// `server.resident_cpu() + Σ cpu`, and the same for memory.
+    ///
+    /// `f64: Sum` folds left from `-0.0`, so a running left-fold sum along
+    /// a growing candidate stack yields these exact bits.
+    pub fn of(server: &PackServer, candidates: &'a [PackItem]) -> Load<'a> {
+        let cpu: f64 = candidates.iter().map(|i| i.cpu_ghz).sum();
+        let mem: f64 = candidates.iter().map(|i| i.mem_mib).sum();
+        Load {
+            candidates,
+            cpu_ghz: server.resident_cpu() + cpu,
+            mem_mib: server.resident_mem() + mem,
+        }
+    }
+}
+
+/// A feasibility rule for placing candidates on `server` (in addition to
 /// the server's residents).
 pub trait Constraint {
-    /// `true` iff the placement is admissible.
-    fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool;
+    /// `true` iff the placement described by `load` is admissible.
+    fn admits_load(&self, server: &PackServer, load: &Load<'_>) -> bool;
+
+    /// `true` iff placing `candidates` on `server` is admissible.
+    fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool {
+        self.admits_load(server, &Load::of(server, candidates))
+    }
 }
 
 /// CPU capacity constraint with an optional utilization cap.
@@ -35,10 +78,9 @@ impl Default for CpuConstraint {
 }
 
 impl Constraint for CpuConstraint {
-    fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool {
-        let extra: f64 = candidates.iter().map(|i| i.cpu_ghz).sum();
-        server.resident_cpu() + extra
-            <= server.cpu_capacity_ghz * self.utilization_cap.clamp(0.0, 1.0) + 1e-9
+    #[inline]
+    fn admits_load(&self, server: &PackServer, load: &Load<'_>) -> bool {
+        load.cpu_ghz <= server.cpu_capacity_ghz * self.utilization_cap.clamp(0.0, 1.0) + 1e-9
     }
 }
 
@@ -49,47 +91,41 @@ impl Constraint for CpuConstraint {
 pub struct MemoryConstraint;
 
 impl Constraint for MemoryConstraint {
-    fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool {
-        let extra: f64 = candidates.iter().map(|i| i.mem_mib).sum();
-        server.resident_mem() + extra <= server.mem_capacity_mib + 1e-9
+    #[inline]
+    fn admits_load(&self, server: &PackServer, load: &Load<'_>) -> bool {
+        load.mem_mib <= server.mem_capacity_mib + 1e-9
     }
 }
 
-/// Conjunction of constraints.
-pub struct AndConstraint {
-    parts: Vec<Box<dyn Constraint + Send + Sync>>,
-}
+/// Conjunction of two constraints; nest it for more
+/// (`AndConstraint(a, AndConstraint(b, c))`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AndConstraint<A, B>(pub A, pub B);
 
-impl AndConstraint {
-    /// Build from boxed parts.
-    pub fn new(parts: Vec<Box<dyn Constraint + Send + Sync>>) -> AndConstraint {
-        AndConstraint { parts }
-    }
-
+impl AndConstraint<CpuConstraint, MemoryConstraint> {
     /// The standard rule set: CPU (full utilization) + memory.
-    pub fn cpu_and_memory() -> AndConstraint {
-        AndConstraint::new(vec![
-            Box::new(CpuConstraint::default()),
-            Box::new(MemoryConstraint),
-        ])
+    pub fn cpu_and_memory() -> Self {
+        AndConstraint(CpuConstraint::default(), MemoryConstraint)
     }
 }
 
-impl Constraint for AndConstraint {
-    fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool {
-        self.parts.iter().all(|c| c.admits(server, candidates))
+impl<A: Constraint, B: Constraint> Constraint for AndConstraint<A, B> {
+    #[inline]
+    fn admits_load(&self, server: &PackServer, load: &Load<'_>) -> bool {
+        self.0.admits_load(server, load) && self.1.admits_load(server, load)
     }
 }
 
-/// Closure adapter so administrators can write ad-hoc rules.
+/// Closure adapter so administrators can write ad-hoc rules over the
+/// candidate slice.
 pub struct FnConstraint<F>(pub F);
 
 impl<F> Constraint for FnConstraint<F>
 where
     F: Fn(&PackServer, &[PackItem]) -> bool,
 {
-    fn admits(&self, server: &PackServer, candidates: &[PackItem]) -> bool {
-        (self.0)(server, candidates)
+    fn admits_load(&self, server: &PackServer, load: &Load<'_>) -> bool {
+        (self.0)(server, load.candidates)
     }
 }
 
@@ -154,6 +190,21 @@ mod tests {
         let c = FnConstraint(|_: &PackServer, cands: &[PackItem]| cands.len() <= 2);
         assert!(c.admits(&server(), &[item(0.1, 0.1), item(0.1, 0.1)]));
         assert!(!c.admits(&server(), &[item(0.1, 0.1), item(0.1, 0.1), item(0.1, 0.1)]));
+    }
+
+    #[test]
+    fn load_of_adds_residents_to_candidates() {
+        let cands = [item(1.5, 100.0), item(0.5, 28.0)];
+        let load = Load::of(&server(), &cands);
+        assert_eq!(load.cpu_ghz, 3.0);
+        assert_eq!(load.mem_mib, 1152.0);
+        assert_eq!(load.candidates.len(), 2);
+        // Nothing resident, nothing placed: `Sum`'s -0.0 identity.
+        let bare = PackServer {
+            resident: Vec::new(),
+            ..server()
+        };
+        assert!(Load::of(&bare, &[]).cpu_ghz.is_sign_negative());
     }
 
     #[test]

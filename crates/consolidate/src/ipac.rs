@@ -18,7 +18,7 @@ use crate::minslack::MinSlackConfig;
 use crate::pac::pac_pack;
 use crate::plan::{ConsolidationPlan, Move};
 use crate::policy::MigrationPolicy;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vdc_dcsim::VmId;
 
 /// IPAC tuning knobs.
@@ -50,10 +50,10 @@ impl Default for IpacConfig {
 /// * `cfg` — tuning.
 ///
 /// Returns the consolidation plan relative to the input snapshot.
-pub fn ipac_plan(
+pub fn ipac_plan<C: Constraint + Sync + ?Sized>(
     servers: &[PackServer],
     new_items: &[PackItem],
-    constraint: &(dyn Constraint + Sync),
+    constraint: &C,
     policy: &dyn MigrationPolicy,
     cfg: &IpacConfig,
 ) -> ConsolidationPlan {
@@ -75,10 +75,10 @@ pub struct IpacStats {
 }
 
 /// [`ipac_plan`] plus the invocation's [`IpacStats`].
-pub fn ipac_plan_stats(
+pub fn ipac_plan_stats<C: Constraint + Sync + ?Sized>(
     servers: &[PackServer],
     new_items: &[PackItem],
-    constraint: &(dyn Constraint + Sync),
+    constraint: &C,
     policy: &dyn MigrationPolicy,
     cfg: &IpacConfig,
 ) -> (ConsolidationPlan, IpacStats) {
@@ -109,7 +109,6 @@ pub fn ipac_plan_stats(
             migration_list.push(s.resident.swap_remove(idx));
         }
     }
-    let overload_evictions = migration_list.len();
     migration_list.extend_from_slice(new_items);
 
     // Place the overload/new list (no policy: feasibility restoration).
@@ -124,11 +123,11 @@ pub fn ipac_plan_stats(
     // violate the hard memory constraint. The work queue below may displace
     // this round's newcomers (never original residents), which terminates
     // because a VM settled on its own origin is never displaced again.
-    let mut newly_placed: std::collections::BTreeSet<VmId> =
-        first.assignments.iter().map(|&(vm, _)| vm).collect();
+    let mut newly_placed: BTreeSet<VmId> = first.assignments.iter().map(|&(vm, _)| vm).collect();
+    let unplaced: BTreeSet<VmId> = first.unplaced.iter().copied().collect();
     let mut queue: Vec<PackItem> = migration_list
         .iter()
-        .filter(|it| first.unplaced.contains(&it.vm))
+        .filter(|it| unplaced.contains(&it.vm))
         .copied()
         .collect();
     let mut efficiency_order: Vec<usize> = (0..state.len()).collect();
@@ -185,7 +184,6 @@ pub fn ipac_plan_stats(
         }
         // New items with no home stay unplaced; the caller sees no move.
     }
-    let _ = overload_evictions;
 
     // --- Step 2: drain loop ------------------------------------------------
     // Repeatedly empty the least power-efficient non-empty server while the

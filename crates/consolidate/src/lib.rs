@@ -46,7 +46,9 @@ pub mod policy;
 pub mod relief;
 pub mod view;
 
-pub use constraint::{AndConstraint, Constraint, CpuConstraint, FnConstraint, MemoryConstraint};
+pub use constraint::{
+    AndConstraint, Constraint, CpuConstraint, FnConstraint, Load, MemoryConstraint,
+};
 pub use ipac::{ipac_plan, IpacConfig};
 pub use item::{PackItem, PackServer};
 pub use minslack::{minimum_slack, MinSlackConfig};

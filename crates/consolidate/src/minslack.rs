@@ -42,8 +42,23 @@
 //! root in their range; every root below the global winner is therefore
 //! explored under any partitioning, which keeps the step/relaxation
 //! accounting shard-invariant too.
+//!
+//! # Cost of a step
+//!
+//! A step is one O(1) [`Constraint::admits_load`] call. The residents are
+//! summed once per call, and every descent (and the greedy fill) carries
+//! the path's CPU and memory totals as running left-fold sums, so a step
+//! adds one item instead of re-summing the residents and the whole stack.
+//! `f64: Sum` folds left from `-0.0`, so those totals have exactly the bits
+//! [`Load::of`] computes from scratch, and every comparison sees the
+//! operands a re-summing search would. The search is generic over the
+//! constraint, so the rule set ([`crate::constraint::AndConstraint`] of
+//! CPU and memory by default) is monomorphized and inlined into the
+//! descent. Descents walk a contiguous largest-first copy of the items,
+//! and a sweep reuses one set of stack and best-subset buffers across its
+//! roots.
 
-use crate::constraint::Constraint;
+use crate::constraint::{Constraint, Load};
 use crate::item::{PackItem, PackServer};
 
 /// Tuning knobs for the Minimum Slack search.
@@ -101,13 +116,11 @@ pub struct MinSlackResult {
     pub relaxations: u32,
 }
 
-/// What one root's descent reported. Outcomes travel in root order, so
-/// the root index itself never needs to be carried.
-#[derive(Debug, Clone)]
+/// What one root's descent reported; the chosen subset itself stays in
+/// the sweep's [`Scratch::best`] buffer.
+#[derive(Debug, Clone, Copy, Default)]
 struct RootOutcome {
-    /// Best subset seen in this root's subtree (indices into `q`).
-    chosen: Vec<usize>,
-    /// CPU of `chosen` (GHz), summed along the descent path.
+    /// CPU of the best subset seen (GHz), summed along the descent path.
     chosen_cpu: f64,
     steps: u64,
     relaxations: u32,
@@ -115,75 +128,111 @@ struct RootOutcome {
     qualified: bool,
 }
 
-/// One root's depth-first descent: subsets containing `sorted[root]` as
-/// their largest item, explored largest-first with suffix-sum pruning.
-struct RootSearch<'a> {
-    server: &'a PackServer,
-    constraint: &'a (dyn Constraint + Sync),
-    sorted: &'a [usize],
-    items: &'a [PackItem],
-    /// Suffix sums of CPU over `sorted` for bound pruning.
-    suffix_cpu: &'a [f64],
-    target: f64,
+/// The index-order winner fold (see the module docs) over consecutive
+/// roots, or over consecutive ranges' picks: the first qualifying one,
+/// else the best fill with ties to the lowest index.
+#[derive(Debug, Clone, Default)]
+struct Pick {
+    /// The winner's subset, as positions in the sorted order.
+    chosen: Vec<usize>,
+    /// The winner's fill and qualification, with the steps and
+    /// relaxations of everything folded in so far.
+    outcome: RootOutcome,
+}
+
+impl Pick {
+    /// Fold in the next outcome in index order (`first` marks the first
+    /// one). Returns whether it qualified: nothing later can then win.
+    fn absorb(&mut self, first: bool, chosen: &[usize], o: &RootOutcome) -> bool {
+        self.outcome.steps += o.steps;
+        self.outcome.relaxations += o.relaxations;
+        if first || o.qualified || o.chosen_cpu > self.outcome.chosen_cpu {
+            self.chosen.clear();
+            self.chosen.extend_from_slice(chosen);
+            self.outcome.chosen_cpu = o.chosen_cpu;
+            self.outcome.qualified = o.qualified;
+        }
+        o.qualified
+    }
+}
+
+/// Buffers one sweep reuses across its roots.
+#[derive(Default)]
+struct Scratch {
+    /// Candidate items on the current descent path.
     stack: Vec<PackItem>,
-    stack_idx: Vec<usize>,
-    /// Best subset seen so far — seeded with the greedy first fill.
+    /// Sorted-order positions of `stack`.
+    path: Vec<usize>,
+    /// Best subset seen by the current root (sorted-order positions).
     best: Vec<usize>,
+}
+
+/// One root's depth-first descent: subsets whose largest item is the
+/// root, explored largest-first with suffix-sum pruning. Every step is one
+/// O(1) constraint check on running totals.
+struct RootSearch<'a, C: ?Sized> {
+    ctx: &'a SweepCtx<'a, C>,
+    buf: &'a mut Scratch,
     best_cpu: f64,
     steps: u64,
+    /// Steps left before the next ε relaxation.
+    until_relax: u64,
     epsilon: f64,
     relaxations: u32,
-    /// This root's share of [`MinSlackConfig::step_budget`].
-    budget: u64,
-    cfg: MinSlackConfig,
     done: bool,
     qualified: bool,
 }
 
-impl RootSearch<'_> {
-    fn dfs(&mut self, pos: usize, chosen_cpu: f64) {
+impl<C: Constraint + ?Sized> RootSearch<'_, C> {
+    /// Descend from sorted position `pos` with the path's CPU and memory
+    /// totals `cpu` and `mem` (candidates only, residents excluded).
+    fn dfs(&mut self, pos: usize, cpu: f64, mem: f64) {
         if self.done {
             return;
         }
-        if chosen_cpu > self.best_cpu {
-            self.best_cpu = chosen_cpu;
-            self.best = self.stack_idx.clone();
+        let ctx = self.ctx;
+        if cpu > self.best_cpu {
+            self.best_cpu = cpu;
+            self.buf.best.clone_from(&self.buf.path);
         }
         // Early exit: slack below ε (line 4/5 of Algorithm 1).
-        if self.target - self.best_cpu <= self.epsilon {
+        if ctx.target - self.best_cpu <= self.epsilon {
             self.done = true;
             self.qualified = true;
             return;
         }
         // Bound: even taking every remaining item cannot beat the best.
-        if pos < self.suffix_cpu.len() && chosen_cpu + self.suffix_cpu[pos] <= self.best_cpu {
+        if pos < ctx.suffix_cpu.len() && cpu + ctx.suffix_cpu[pos] <= self.best_cpu {
             return;
         }
-        for i in pos..self.sorted.len() {
-            let item = self.items[self.sorted[i]];
+        for i in pos..ctx.items.len() {
+            let item = ctx.items[i];
+            let next_cpu = cpu + item.cpu_ghz;
             // Quick reject: obviously over CPU (cheap pre-filter before the
             // general constraint).
-            if chosen_cpu + item.cpu_ghz > self.target + 1e-9 {
+            if next_cpu > ctx.cpu_limit {
                 continue;
             }
-            self.stack.push(item);
-            self.stack_idx.push(self.sorted[i]);
+            let next_mem = mem + item.mem_mib;
+            self.buf.stack.push(item);
+            self.buf.path.push(i);
             self.steps += 1;
-            if self.steps.is_multiple_of(self.budget) {
+            self.until_relax -= 1;
+            if self.until_relax == 0 {
                 // Line 15–17: the search is taking too long — relax ε.
+                self.until_relax = ctx.root_budget;
                 self.relaxations += 1;
-                if self.relaxations > self.cfg.max_relaxations {
+                if self.relaxations > ctx.cfg.max_relaxations {
                     self.done = true;
                 } else {
-                    self.epsilon += self.cfg.epsilon_step_ghz;
+                    self.epsilon += ctx.cfg.epsilon_step_ghz;
                 }
             }
-            let admitted = self.constraint.admits(self.server, &self.stack);
-            if admitted {
-                self.dfs(i + 1, chosen_cpu + item.cpu_ghz);
+            if ctx.admits(&self.buf.stack, next_cpu, next_mem) {
+                self.dfs(i + 1, next_cpu, next_mem);
             }
-            self.stack.pop();
-            self.stack_idx.pop();
+            self.buf.stack.pop();
+            self.buf.path.pop();
             if self.done {
                 return;
             }
@@ -193,63 +242,77 @@ impl RootSearch<'_> {
 
 /// Shared, read-only context of one `minimum_slack` call: what every root
 /// descent (on any worker thread) needs.
-struct SweepCtx<'a> {
+struct SweepCtx<'a, C: ?Sized> {
     server: &'a PackServer,
-    constraint: &'a (dyn Constraint + Sync),
+    constraint: &'a C,
+    /// The input items, largest-first (contiguous, so a descent walks
+    /// memory in order).
     items: &'a [PackItem],
-    sorted: &'a [usize],
+    /// Suffix sums of CPU over `items` for bound pruning.
     suffix_cpu: &'a [f64],
+    /// The server's resident CPU and memory, summed once per call.
+    resident_cpu: f64,
+    resident_mem: f64,
     target: f64,
+    /// `target + 1e-9`: the CPU quick-reject threshold.
+    cpu_limit: f64,
     cfg: MinSlackConfig,
     /// Per-root share of the step budget (identical for every root).
     root_budget: u64,
-    /// The greedy first fill (indices into `items`) and its CPU: the
+    /// The greedy first fill (sorted-order positions) and its CPU: the
     /// incumbent every root descent starts from.
     seed: &'a [usize],
     seed_cpu: f64,
 }
 
-impl SweepCtx<'_> {
-    /// Explore one root subtree to completion (early exit, exhaustion, or
-    /// relaxation cap). Pure: depends only on the context and `root`.
-    fn search_root(&self, root: usize) -> RootOutcome {
-        let empty = |steps: u64| RootOutcome {
-            chosen: Vec::new(),
-            chosen_cpu: 0.0,
-            steps,
-            relaxations: 0,
-            qualified: false,
+impl<C: Constraint + ?Sized> SweepCtx<'_, C> {
+    /// One constraint evaluation: `stack` on the server, whose CPU and
+    /// memory sum to `cpu` and `mem`.
+    #[inline]
+    fn admits(&self, stack: &[PackItem], cpu: f64, mem: f64) -> bool {
+        let load = Load {
+            candidates: stack,
+            cpu_ghz: self.resident_cpu + cpu,
+            mem_mib: self.resident_mem + mem,
         };
-        let item = self.items[self.sorted[root]];
-        if item.cpu_ghz > self.target + 1e-9 {
+        self.constraint.admits_load(self.server, &load)
+    }
+
+    /// Explore one root subtree to completion (early exit, exhaustion, or
+    /// relaxation cap), leaving its best subset in `buf.best`. Pure:
+    /// depends only on the context and `root`.
+    fn search_root(&self, root: usize, buf: &mut Scratch) -> RootOutcome {
+        buf.best.clear();
+        let empty = |steps: u64| RootOutcome {
+            steps,
+            ..RootOutcome::default()
+        };
+        let item = self.items[root];
+        if item.cpu_ghz > self.cpu_limit {
             // Quick reject at the root: nothing in this subtree fits.
             return empty(0);
         }
+        buf.stack.clear();
+        buf.stack.push(item);
+        if !self.admits(&buf.stack, item.cpu_ghz, item.mem_mib) {
+            return empty(1);
+        }
+        buf.path.clear();
+        buf.path.push(root);
+        buf.best.extend_from_slice(self.seed);
         let mut st = RootSearch {
-            server: self.server,
-            constraint: self.constraint,
-            sorted: self.sorted,
-            items: self.items,
-            suffix_cpu: self.suffix_cpu,
-            target: self.target,
-            stack: vec![item],
-            stack_idx: vec![self.sorted[root]],
-            best: self.seed.to_vec(),
+            ctx: self,
+            buf,
             best_cpu: self.seed_cpu,
             steps: 1,
+            until_relax: self.root_budget - 1,
             epsilon: self.cfg.epsilon_ghz.max(0.0),
             relaxations: 0,
-            budget: self.root_budget,
-            cfg: self.cfg,
             done: false,
             qualified: false,
         };
-        if !self.constraint.admits(self.server, &st.stack) {
-            return empty(1);
-        }
-        st.dfs(root + 1, item.cpu_ghz);
+        st.dfs(root + 1, item.cpu_ghz, item.mem_mib);
         RootOutcome {
-            chosen: st.best,
             chosen_cpu: st.best_cpu,
             steps: st.steps,
             relaxations: st.relaxations,
@@ -257,19 +320,19 @@ impl SweepCtx<'_> {
         }
     }
 
-    /// Scan roots `lo..hi` in order, stopping after the first qualifying
-    /// root (no later root in the range can win the index-order selection).
-    fn sweep_range(&self, lo: usize, hi: usize) -> Vec<RootOutcome> {
-        let mut out = Vec::new();
+    /// Scan roots `lo..hi` in order and fold them into the range's pick,
+    /// stopping after the first qualifying root (no later root in the
+    /// range can win the index-order selection).
+    fn sweep_range(&self, lo: usize, hi: usize) -> Pick {
+        let mut buf = Scratch::default();
+        let mut pick = Pick::default();
         for root in lo..hi {
-            let o = self.search_root(root);
-            let stop = o.qualified;
-            out.push(o);
-            if stop {
+            let o = self.search_root(root, &mut buf);
+            if pick.absorb(root == lo, &buf.best, &o) {
                 break;
             }
         }
-        out
+        pick
     }
 }
 
@@ -303,13 +366,14 @@ impl SweepCtx<'_> {
 ///                         &MinSlackConfig { epsilon_ghz: 0.0, ..Default::default() });
 /// assert!(res.slack_ghz.abs() < 1e-9);
 /// ```
-pub fn minimum_slack(
+pub fn minimum_slack<C: Constraint + Sync + ?Sized>(
     server: &PackServer,
     q: &[PackItem],
-    constraint: &(dyn Constraint + Sync),
+    constraint: &C,
     cfg: &MinSlackConfig,
 ) -> MinSlackResult {
-    let target = server.cpu_capacity_ghz - server.resident_cpu();
+    let resident_cpu = server.resident_cpu();
+    let target = server.cpu_capacity_ghz - resident_cpu;
     let epsilon0 = cfg.epsilon_ghz.max(0.0);
     if q.is_empty() || target <= epsilon0 {
         // Nothing to choose from, or the server is already within ε of
@@ -321,9 +385,13 @@ pub fn minimum_slack(
             relaxations: 0,
         };
     }
+    let resident_mem = server.resident_mem();
+    let cpu_limit = target + 1e-9;
 
     // Largest-first ordering makes the greedy first descent strong and the
-    // suffix bound tight (the MBS paper sorts decreasing as well).
+    // suffix bound tight (the MBS paper sorts decreasing as well). The
+    // search walks a contiguous copy in that order; `sorted` maps its
+    // positions back to indices into `q`.
     let mut sorted: Vec<usize> = (0..q.len()).collect();
     sorted.sort_by(|&a, &b| {
         q[b].cpu_ghz
@@ -331,28 +399,51 @@ pub fn minimum_slack(
             .expect("finite demands")
             .then(a.cmp(&b))
     });
-    let mut suffix_cpu = vec![0.0; sorted.len() + 1];
-    for i in (0..sorted.len()).rev() {
-        suffix_cpu[i] = suffix_cpu[i + 1] + q[sorted[i]].cpu_ghz;
+    let items: Vec<PackItem> = sorted.iter().map(|&i| q[i]).collect();
+    let mut suffix_cpu = vec![0.0; items.len() + 1];
+    for i in (0..items.len()).rev() {
+        suffix_cpu[i] = suffix_cpu[i + 1] + items[i].cpu_ghz;
     }
+    let to_q = |positions: &[usize]| positions.iter().map(|&p| sorted[p]).collect::<Vec<_>>();
+
+    // The greedy fill below checks through the same context as the
+    // descents; the seed it produces is filled in afterwards.
+    let roots = items.len();
+    let ctx = SweepCtx {
+        server,
+        constraint,
+        items: &items,
+        suffix_cpu: &suffix_cpu,
+        resident_cpu,
+        resident_mem,
+        target,
+        cpu_limit,
+        cfg: *cfg,
+        root_budget: (cfg.step_budget / roots as u64).max(ROOT_BUDGET_FLOOR),
+        seed: &[],
+        seed_cpu: 0.0,
+    };
 
     // Greedy first fill: one largest-first pass taking whatever the
     // constraint admits. This is the incumbent seeded into every root
-    // descent, and with ε > 0 it very often already qualifies.
-    let mut greedy_idx: Vec<usize> = Vec::new();
+    // descent, and with ε > 0 it very often already qualifies. Its totals
+    // start from `-0.0`, the identity `f64: Sum` folds from.
+    let mut greedy: Vec<usize> = Vec::new();
     let mut greedy_stack: Vec<PackItem> = Vec::new();
-    let mut greedy_cpu = 0.0;
+    let (mut greedy_cpu, mut greedy_mem) = (-0.0, -0.0);
     let mut greedy_steps = 0u64;
-    for &qi in &sorted {
-        let item = q[qi];
-        if greedy_cpu + item.cpu_ghz > target + 1e-9 {
+    for (p, &item) in items.iter().enumerate() {
+        let cpu = greedy_cpu + item.cpu_ghz;
+        if cpu > cpu_limit {
             continue;
         }
+        let mem = greedy_mem + item.mem_mib;
         greedy_stack.push(item);
         greedy_steps += 1;
-        if constraint.admits(server, &greedy_stack) {
-            greedy_idx.push(qi);
-            greedy_cpu += item.cpu_ghz;
+        if ctx.admits(&greedy_stack, cpu, mem) {
+            greedy.push(p);
+            greedy_cpu = cpu;
+            greedy_mem = mem;
         } else {
             greedy_stack.pop();
         }
@@ -365,99 +456,71 @@ pub fn minimum_slack(
     // its budget rediscovering the greedy fill.
     let final_epsilon = epsilon0 + cfg.max_relaxations as f64 * cfg.epsilon_step_ghz.max(0.0);
     if target - greedy_cpu <= epsilon0
-        || greedy_idx.len() == sorted.len()
+        || greedy.len() == roots
         || target - suffix_cpu[0] > final_epsilon
     {
         return MinSlackResult {
-            chosen: greedy_idx,
+            chosen: to_q(&greedy),
             slack_ghz: target - greedy_cpu,
             steps: greedy_steps,
             relaxations: 0,
         };
     }
+    let ctx = SweepCtx {
+        seed: &greedy,
+        seed_cpu: greedy_cpu,
+        ..ctx
+    };
 
-    let roots = sorted.len();
     let fan = if roots >= FAN_OUT_MIN_ROOTS {
         cfg.shards.max(1).min(roots)
     } else {
         1
     };
-    let ctx = SweepCtx {
-        server,
-        constraint,
-        items: q,
-        sorted: &sorted,
-        suffix_cpu: &suffix_cpu,
-        target,
-        cfg: *cfg,
-        root_budget: (cfg.step_budget / roots as u64).max(ROOT_BUDGET_FLOOR),
-        seed: &greedy_idx,
-        seed_cpu: greedy_cpu,
-    };
-
-    let outcomes: Vec<RootOutcome> = if fan <= 1 {
-        ctx.sweep_range(0, roots)
+    let ranges: Vec<Pick> = if fan <= 1 {
+        vec![ctx.sweep_range(0, roots)]
     } else {
         // Contiguous root ranges, one per worker (same partitioning rule as
         // the replay's shard module): the first `roots % fan` ranges get one
         // extra root.
         let base = roots / fan;
         let rem = roots % fan;
-        let mut ranges = Vec::with_capacity(fan);
+        let mut bounds = Vec::with_capacity(fan);
         let mut start = 0;
         for k in 0..fan {
             let len = base + usize::from(k < rem);
-            ranges.push((start, start + len));
+            bounds.push((start, start + len));
             start += len;
         }
         let ctx_ref = &ctx;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
+            let handles: Vec<_> = bounds
                 .into_iter()
                 .map(|(lo, hi)| scope.spawn(move || ctx_ref.sweep_range(lo, hi)))
                 .collect();
-            let mut all = Vec::with_capacity(roots);
-            for h in handles {
-                all.extend(h.join().expect("minslack worker panicked"));
-            }
-            all
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("minslack worker panicked"))
+                .collect()
         })
     };
 
-    // Index-order winner selection. Outcomes arrive sorted by root: workers
-    // scan their ranges in order, and a range before the winning one can
-    // only have stopped early if it found a qualifying (winning) root
-    // itself — so every root before the winner is present and counted.
-    let mut steps = greedy_steps;
-    let mut relaxations = 0;
-    let mut winner: Option<&RootOutcome> = None;
-    let mut fallback: Option<&RootOutcome> = None;
-    for o in &outcomes {
-        steps += o.steps;
-        relaxations += o.relaxations;
-        if o.qualified {
-            winner = Some(o);
+    // Index-order winner selection over the ranges' picks, the same fold
+    // each range ran over its roots. Ranges arrive in root order, and a
+    // range before the winning one can only have stopped early if it found
+    // a qualifying (winning) root itself — so every root before the winner
+    // is explored and counted.
+    let mut pick = Pick::default();
+    for (k, r) in ranges.iter().enumerate() {
+        if pick.absorb(k == 0, &r.chosen, &r.outcome) {
             break;
         }
-        if fallback.is_none_or(|f| o.chosen_cpu > f.chosen_cpu) {
-            fallback = Some(o);
-        }
     }
-    match winner.or(fallback) {
-        Some(w) => MinSlackResult {
-            chosen: w.chosen.clone(),
-            slack_ghz: target - w.chosen_cpu,
-            steps,
-            relaxations,
-        },
-        // Every root was quick-rejected: the greedy fill (also empty in
-        // that case, since nothing fits) is all there is.
-        None => MinSlackResult {
-            chosen: greedy_idx,
-            slack_ghz: target - greedy_cpu,
-            steps,
-            relaxations,
-        },
+    MinSlackResult {
+        chosen: to_q(&pick.chosen),
+        slack_ghz: target - pick.outcome.chosen_cpu,
+        steps: greedy_steps + pick.outcome.steps,
+        relaxations: pick.outcome.relaxations,
     }
 }
 
@@ -556,6 +619,63 @@ mod tests {
     }
 
     #[test]
+    fn search_work_is_pinned() {
+        // 24 awkward items on a memory-tight server with a resident. The
+        // expected selections, slack bits, steps and relaxations are those
+        // the search produced when every step re-summed the residents and
+        // the candidate stack; the ε ladder and step accounting must keep
+        // them exactly.
+        let mut s = server(10.0, 9000.0);
+        s.resident = vec![PackItem::new(VmId(99), 0.3, 700.0)];
+        let q: Vec<PackItem> = (0..24u64)
+            .map(|i| {
+                let (a, b) = ((i * 5 % 7) as f64, (i * 3 % 11) as f64);
+                PackItem::new(VmId(i), 0.7 + 0.013 * a, 400.0 + 37.0 * b)
+            })
+            .collect();
+        let c = AndConstraint::cpu_and_memory();
+        let long = [18, 1, 8, 15, 22, 5, 12, 19, 2, 9, 6, 0, 7];
+        type Case<'a> = (u64, u32, f64, &'a [usize], u64, u64, u32);
+        let cases: [Case; 4] = [
+            (50, 8, 0.0, &long, 0x3f60624dd2f1c000, 629, 19),
+            (1, 3, 0.0, &long, 0x3f60624dd2f1c000, 309, 9),
+            (
+                20_000,
+                16,
+                0.0,
+                &[4, 11, 18, 1, 8, 15, 22, 5, 12, 0, 7, 14, 21],
+                0x3f60624dd2f1c000,
+                845,
+                1,
+            ),
+            (
+                64,
+                16,
+                0.02,
+                &[4, 11, 18, 1, 8, 15, 22, 5, 12, 19, 2, 9],
+                0x3fe24dd2f1a9fbf0,
+                396,
+                12,
+            ),
+        ];
+        for (step_budget, max_relaxations, epsilon_ghz, chosen, slack_bits, steps, relaxations) in
+            cases
+        {
+            let cfg = MinSlackConfig {
+                epsilon_ghz,
+                epsilon_step_ghz: 0.05,
+                step_budget,
+                max_relaxations,
+                shards: 1,
+            };
+            let r = minimum_slack(&s, &q, &c, &cfg);
+            assert_eq!(r.chosen, chosen, "{cfg:?}");
+            assert_eq!(r.slack_ghz.to_bits(), slack_bits, "{cfg:?}");
+            assert_eq!((r.steps, r.relaxations), (steps, relaxations), "{cfg:?}");
+        }
+    }
+
+    #[test]
     fn epsilon_early_exit_reduces_steps() {
         // Many combinable items: with a large ε the search stops almost
         // immediately; with ε = 0 it keeps optimizing.
@@ -616,12 +736,10 @@ mod tests {
         // Administrator constraint: at most 2 VMs per server.
         let s = server(10.0, 1e9);
         let q = items(&[1.0, 1.0, 1.0, 1.0]);
-        let c = AndConstraint::new(vec![
-            Box::new(CpuConstraint::default()),
-            Box::new(FnConstraint(|s: &PackServer, cand: &[PackItem]| {
-                s.resident.len() + cand.len() <= 2
-            })),
-        ]);
+        let c = AndConstraint(
+            CpuConstraint::default(),
+            FnConstraint(|s: &PackServer, cand: &[PackItem]| s.resident.len() + cand.len() <= 2),
+        );
         let r = minimum_slack(&s, &q, &c, &MinSlackConfig::default());
         assert_eq!(r.chosen.len(), 2);
     }

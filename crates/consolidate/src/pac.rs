@@ -59,10 +59,10 @@ impl PacResult {
 ///
 /// Servers are visited most power-efficient first (ties broken by index
 /// for determinism). Items that fit nowhere are reported in `unplaced`.
-pub fn pac_pack(
+pub fn pac_pack<C: Constraint + Sync + ?Sized>(
     servers: &mut [PackServer],
     items: &[PackItem],
-    constraint: &(dyn Constraint + Sync),
+    constraint: &C,
     cfg: &MinSlackConfig,
 ) -> PacResult {
     let mut order: Vec<usize> = (0..servers.len()).collect();

@@ -347,3 +347,166 @@ mod convergence {
         });
     }
 }
+
+/// The running-total search against the rule it replaced: an
+/// `FnConstraint` that re-sums the residents and the whole candidate slice
+/// on every call, exactly as `CpuConstraint` and `MemoryConstraint` did
+/// before they read a precomputed `Load`. The closure sees only the
+/// candidates, so it checks the totals the search carries down its
+/// descent. Every selection, slack bit, step and relaxation must match.
+mod running_totals {
+    use super::*;
+    use vdc_check::TestRng;
+    use vdc_consolidate::constraint::FnConstraint;
+    use vdc_consolidate::minslack::MinSlackResult;
+
+    /// CPU (full utilization) + memory, re-summed from scratch.
+    fn resummed(server: &PackServer, candidates: &[PackItem]) -> bool {
+        let extra_cpu: f64 = candidates.iter().map(|i| i.cpu_ghz).sum();
+        let extra_mem: f64 = candidates.iter().map(|i| i.mem_mib).sum();
+        server.resident_cpu() + extra_cpu <= server.cpu_capacity_ghz + 1e-9
+            && server.resident_mem() + extra_mem <= server.mem_capacity_mib + 1e-9
+    }
+
+    /// A server with 0–5 residents whose memory headroom is small next to
+    /// a pool's total, so memory rejects many steps. CPU headroom may be
+    /// negative (an overloaded server).
+    fn gen_server(rng: &mut TestRng, index: usize) -> PackServer {
+        let resident: Vec<PackItem> = (0..rng.usize_in(0, 6))
+            .map(|k| {
+                PackItem::new(
+                    VmId(1000 + 16 * index as u64 + k as u64),
+                    rng.f64_in(0.0, 1.5),
+                    rng.f64_in(64.0, 2048.0),
+                )
+            })
+            .collect();
+        let cpu: f64 = resident.iter().map(|i| i.cpu_ghz).sum();
+        let mem: f64 = resident.iter().map(|i| i.mem_mib).sum();
+        let watts = rng.f64_in(100.0, 400.0);
+        PackServer {
+            index,
+            cpu_capacity_ghz: cpu + rng.f64_in(-0.5, 12.0),
+            mem_capacity_mib: mem + rng.f64_in(256.0, 8192.0),
+            max_watts: watts,
+            idle_watts: watts * 0.6,
+            active: !resident.is_empty(),
+            pue: 1.0,
+            resident,
+        }
+    }
+
+    /// 1–29 items, or 64–99 so a 3-shard sweep fans out. About one in
+    /// eight has zero CPU and one in eight repeats an earlier item's
+    /// demands.
+    fn gen_pool(rng: &mut TestRng) -> Vec<PackItem> {
+        let n = if rng.bool() {
+            rng.usize_in(1, 30)
+        } else {
+            rng.usize_in(64, 100)
+        };
+        let mut pool: Vec<PackItem> = Vec::with_capacity(n);
+        for i in 0..n {
+            let (cpu, mem) = match rng.below(8) {
+                0 => (0.0, rng.f64_in(16.0, 1024.0)),
+                1 if i > 0 => {
+                    let twin = pool[rng.usize_in(0, i)];
+                    (twin.cpu_ghz, twin.mem_mib)
+                }
+                _ => (rng.f64_in(0.05, 3.0), rng.f64_in(16.0, 2048.0)),
+            };
+            pool.push(PackItem::new(VmId(i as u64), cpu, mem));
+        }
+        pool
+    }
+
+    /// ε of 0, the default 0.05 or up to 0.5; a step budget of 1–64 (or
+    /// the default); 0–16 relaxations; 1 or 3 shards.
+    fn gen_cfg(rng: &mut TestRng) -> MinSlackConfig {
+        MinSlackConfig {
+            epsilon_ghz: match rng.below(3) {
+                0 => 0.0,
+                1 => 0.05,
+                _ => rng.f64_in(0.0, 0.5),
+            },
+            epsilon_step_ghz: rng.f64_in(0.01, 0.2),
+            step_budget: if rng.below(4) == 0 {
+                MinSlackConfig::default().step_budget
+            } else {
+                rng.u64_in(1, 65)
+            },
+            max_relaxations: rng.usize_in(0, 17) as u32,
+            shards: if rng.bool() { 1 } else { 3 },
+        }
+    }
+
+    fn fleet() -> impl Gen<Value = (Vec<PackServer>, Vec<PackItem>, MinSlackConfig)> {
+        from_fn(|rng: &mut TestRng| {
+            let servers = (0..rng.usize_in(1, 6))
+                .map(|i| gen_server(rng, i))
+                .collect();
+            (servers, gen_pool(rng), gen_cfg(rng))
+        })
+    }
+
+    fn same_search(a: &MinSlackResult, b: &MinSlackResult) -> Result<(), vdc_check::Failed> {
+        prop_assert_eq!(a.chosen, b.chosen);
+        prop_assert_eq!(a.slack_ghz.to_bits(), b.slack_ghz.to_bits());
+        prop_assert_eq!(a.steps, b.steps);
+        prop_assert_eq!(a.relaxations, b.relaxations);
+        Ok(())
+    }
+
+    #[test]
+    fn minslack_matches_resummed_rule() {
+        check(256, &fleet(), |(servers, pool, cfg)| {
+            let resum = FnConstraint(resummed);
+            for server in servers {
+                let fast = minimum_slack(server, pool, &AndConstraint::cpu_and_memory(), cfg);
+                let slow = minimum_slack(server, pool, &resum, cfg);
+                same_search(&fast, &slow)?;
+            }
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn pac_matches_resummed_rule() {
+        check(CASES, &fleet(), |(servers, pool, cfg)| {
+            let (mut fast_state, mut slow_state) = (servers.clone(), servers.clone());
+            let fast = pac_pack(&mut fast_state, pool, &AndConstraint::cpu_and_memory(), cfg);
+            let slow = pac_pack(&mut slow_state, pool, &FnConstraint(resummed), cfg);
+            prop_assert_eq!(fast.assignments, slow.assignments);
+            prop_assert_eq!(fast.unplaced, slow.unplaced);
+            prop_assert_eq!(fast.total_steps, slow.total_steps);
+            prop_assert_eq!(fast_state, slow_state);
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn ipac_matches_resummed_rule() {
+        check(CASES, &fleet(), |(servers, pool, cfg)| {
+            let ipac_cfg = IpacConfig {
+                minslack: *cfg,
+                ..IpacConfig::default()
+            };
+            let fast = ipac_plan(
+                servers,
+                pool,
+                &AndConstraint::cpu_and_memory(),
+                &AlwaysAllow,
+                &ipac_cfg,
+            );
+            let slow = ipac_plan(
+                servers,
+                pool,
+                &FnConstraint(resummed),
+                &AlwaysAllow,
+                &ipac_cfg,
+            );
+            prop_assert_eq!(fast, slow);
+            Ok(())
+        });
+    }
+}

@@ -7,7 +7,7 @@
 
 use crate::Result;
 use std::collections::BTreeSet;
-use vdc_consolidate::constraint::AndConstraint;
+use vdc_consolidate::constraint::{AndConstraint, CpuConstraint, MemoryConstraint};
 use vdc_consolidate::ipac::{ipac_plan_stats, IpacConfig, IpacStats};
 use vdc_consolidate::item::{PackItem, PackServer};
 use vdc_consolidate::minslack::MinSlackConfig;
@@ -149,7 +149,7 @@ pub struct OptimizerConfig {
     pub algorithm: Algorithm,
     /// Packing feasibility rule (defaults to CPU + memory, the §VII-B
     /// administrator constraint).
-    pub constraint: AndConstraint,
+    pub constraint: AndConstraint<CpuConstraint, MemoryConstraint>,
     /// IPAC tuning (ignored by pMapper).
     pub ipac: IpacConfig,
     /// Cost-aware migration policy (applied by IPAC's drain rounds).
