@@ -19,13 +19,15 @@ run() {
 }
 
 # Hermeticity: the dependency graph must be path-only. Every package that
-# `cargo metadata` can see must either live in this workspace (null
-# "source") or not resolve at all; any registry/git source is a regression.
+# `cargo metadata` can see, in this workspace and in the benchmark's own
+# (perfbench/), must either be a path package (null "source") or not
+# resolve at all; any registry/git source is a regression.
 run_metadata_check() {
     echo "==> hermeticity: cargo metadata --offline lists only path dependencies"
     local sources
-    sources=$(cargo metadata --format-version 1 --offline |
-        tr ',' '\n' | grep -o '"source":"[^"]*"' | sort -u || true)
+    sources=$(for manifest in Cargo.toml perfbench/Cargo.toml; do
+        cargo metadata --format-version 1 --offline --manifest-path "$manifest"
+    done | tr ',' '\n' | grep -o '"source":"[^"]*"' | sort -u || true)
     if [ -n "$sources" ]; then
         echo "non-path dependency sources found:" >&2
         echo "$sources" >&2
@@ -98,9 +100,9 @@ mkdir -p "$scratch"
 (cd "$scratch" && ../release/week_profile -q >/dev/null)
 (cd "$scratch" && ../release/churn -q >/dev/null)
 (cd "$scratch" && ../release/faults --apps 8 --samples 48 -q >/dev/null)
-# Controller ablation: the same trace through all three TierController
-# impls (MPC / robust / cooling-coupled); the gate diffs the per-
-# controller energy/violation/safe-mode family.
+# Controller ablation: the same trace through all three control laws
+# (MPC / robust / cooling-coupled); the gate diffs the per-controller
+# energy/violation/safe-mode family.
 (cd "$scratch" && ../release/controllers --apps 8 --samples 48 -q >/dev/null)
 # Megafleet smoke tier: streaming trace + hierarchical pods. --max-rss-mib
 # asserts the constant-memory claim inside the bin (exit 1 on breach); the

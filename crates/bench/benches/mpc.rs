@@ -5,7 +5,7 @@
 use std::hint::black_box;
 use vdc_bench::harness::BenchHarness;
 use vdc_control::sysid::{fit_arx, ExperimentData, Prbs, RecursiveLeastSquares};
-use vdc_control::{ArxModel, MpcConfig, MpcController, ReferenceTrajectory};
+use vdc_control::{ArxModel, MpcConfig, MpcController};
 
 fn model_with_inputs(m: usize) -> ArxModel {
     let b1: Vec<f64> = (0..m).map(|i| -150.0 - 10.0 * i as f64).collect();
@@ -14,18 +14,10 @@ fn model_with_inputs(m: usize) -> ArxModel {
 }
 
 fn controller(m: usize, horizon: (usize, usize)) -> MpcController {
-    let reference = ReferenceTrajectory::new(4.0, 12.0).unwrap();
     let cfg = MpcConfig {
         prediction_horizon: horizon.0,
         control_horizon: horizon.1,
-        q_weight: 1.0,
-        r_weight: vec![4e4; m],
-        reference,
-        setpoint: 1000.0,
-        c_min: vec![0.3; m],
-        c_max: vec![3.0; m],
-        delta_max: Some(0.3),
-        terminal_constraint: true,
+        ..MpcConfig::paper(m, 1000.0, 4.0).unwrap()
     };
     MpcController::new(model_with_inputs(m), cfg, &vec![1.0; m]).unwrap()
 }

@@ -14,12 +14,12 @@
 //! * [`mpc`] — the model predictive controller of §IV-B: lifted
 //!   step-response predictor, quadratic cost of eq. (2), terminal
 //!   constraint of eq. (4), allocation box constraints, receding-horizon
-//!   application of the first move.
+//!   application of the first move, and an optional PUE-weighted
+//!   allocation-level cooling term (after Ogura et al., arXiv:1806.03375;
+//!   [`MpcController::set_energy_weight`]).
 //! * [`robust`] — a model-free robust provisioning alternative (fixed
 //!   gains on filtered relative RT error, after Makridis et al.,
 //!   arXiv:1811.05533).
-//! * [`cooling`] — the cooling-coupled MPC variant (PUE-weighted energy
-//!   term in the objective, after Ogura et al., arXiv:1806.03375).
 //! * [`stability`] — pole analysis of identified models plus closed-loop
 //!   simulation probes.
 //! * [`analysis`] — numerical linearization of the full receding-horizon
@@ -31,7 +31,6 @@
 
 pub mod analysis;
 pub mod arx;
-pub mod cooling;
 pub mod mpc;
 pub mod reference;
 pub mod robust;
@@ -40,7 +39,6 @@ pub mod sysid;
 
 pub use analysis::{achievable_range, analyze_closed_loop, setpoint_feasible, ClosedLoopAnalysis};
 pub use arx::ArxModel;
-pub use cooling::CoolingMpc;
 pub use mpc::{MpcConfig, MpcController};
 pub use reference::ReferenceTrajectory;
 pub use robust::{RobustConfig, RobustController};

@@ -32,6 +32,22 @@
 //! ([`vdc_linalg::BoxQp`]) with the terminal constraint folded in as a
 //! large quadratic penalty. Bounds are enforced exactly on the first move —
 //! the only one ever applied — and as a rate limit on later moves.
+//!
+//! ## Cooling coupling
+//!
+//! After Ogura et al. (arXiv:1806.03375), the objective can charge each
+//! predicted allocation *level* at the site's power usage effectiveness,
+//!
+//! ```text
+//! J'(k) = J(k) + ρ(k) Σ_j ||c(k+j|k)||²,   ρ(k) = w_energy · PUE(k),
+//! ```
+//!
+//! so the controller leans toward leaner allocations while cooling is
+//! expensive. The term is extra rows of the stacked least-squares system,
+//! switched on by a positive [`MpcController::set_energy_weight`] and fed
+//! per period through [`MpcController::set_pue`]. At weight zero no row is
+//! added, so the controller is the paper's eq. (2) bit for bit whatever
+//! PUE it observes.
 
 use crate::arx::ArxModel;
 use crate::reference::ReferenceTrajectory;
@@ -73,21 +89,35 @@ pub struct MpcConfig {
 }
 
 impl MpcConfig {
-    /// Sensible defaults for a response-time controller over `n_inputs`
-    /// tier VMs: P = 8, M = 2, Q = 1, R = 100 per channel.
-    pub fn defaults(n_inputs: usize, setpoint: f64, reference: ReferenceTrajectory) -> MpcConfig {
-        MpcConfig {
-            prediction_horizon: 8,
-            control_horizon: 2,
+    /// Reference time constant of [`MpcConfig::paper`], in control periods.
+    pub const PAPER_REFERENCE_PERIODS: f64 = 3.0;
+
+    /// The paper's response-time controller tuning over `n_inputs` tier
+    /// VMs: P = 10, M = 3, Q = 1, R = 4e4 per channel, allocations in
+    /// [0.3, 3.0] GHz moving at most 0.3 GHz per period, the terminal
+    /// constraint on, and a reference time constant of
+    /// [`PAPER_REFERENCE_PERIODS`](Self::PAPER_REFERENCE_PERIODS) control
+    /// periods. Fails when `period_s` is not a positive finite number.
+    pub fn paper(n_inputs: usize, setpoint: f64, period_s: f64) -> Result<MpcConfig> {
+        let reference =
+            ReferenceTrajectory::new(period_s, Self::PAPER_REFERENCE_PERIODS * period_s)?;
+        Ok(MpcConfig {
+            prediction_horizon: 10,
+            control_horizon: 3,
             q_weight: 1.0,
-            r_weight: vec![100.0; n_inputs],
+            // The tracking error is in ms² (~1e4–1e5 per period near the
+            // set point), so the move penalty must be of comparable scale
+            // to damp noise-chasing: 0.3 GHz moves cost ~0.09 · 4e4 ≈ 4e3.
+            r_weight: vec![4.0e4; n_inputs],
             reference,
             setpoint,
-            c_min: vec![0.1; n_inputs],
-            c_max: vec![4.0; n_inputs],
-            delta_max: Some(1.0),
+            // Stay inside the identified operating region: far below the
+            // PRBS low level the linearized gains are badly wrong.
+            c_min: vec![0.3; n_inputs],
+            c_max: vec![3.0; n_inputs],
+            delta_max: Some(0.3),
             terminal_constraint: true,
-        }
+        })
     }
 
     fn validate(&self, n_inputs: usize) -> Result<()> {
@@ -150,18 +180,14 @@ pub struct MpcStep {
 /// # Examples
 ///
 /// ```
-/// use vdc_control::{ArxModel, MpcConfig, MpcController, ReferenceTrajectory};
+/// use vdc_control::{ArxModel, MpcConfig, MpcController};
 ///
 /// let model = ArxModel::new(
 ///     vec![0.45],
 ///     vec![vec![-180.0, -120.0], vec![-60.0, -40.0]],
 ///     1400.0,
 /// ).unwrap();
-/// let cfg = MpcConfig {
-///     setpoint: 1000.0,
-///     r_weight: vec![1e2; 2],
-///     ..MpcConfig::defaults(2, 1000.0, ReferenceTrajectory::new(4.0, 12.0).unwrap())
-/// };
+/// let cfg = MpcConfig::paper(2, 1000.0, 4.0).unwrap();
 /// let mut ctrl = MpcController::new(model, cfg, &[1.0, 1.0]).unwrap();
 /// // Response time above the set point: the controller adds CPU.
 /// let step = ctrl.step(1800.0).unwrap();

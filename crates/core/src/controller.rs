@@ -5,15 +5,30 @@
 //! eq. (1) model by PRBS excitation and least squares, then an MPC
 //! controller tracking the 90-percentile response time by adjusting the
 //! per-tier CPU allocations every control period.
+//!
+//! [`ResponseTimeController`] is the one application-level controller
+//! type. It runs one plant loop — apply the allocation, advance the plant
+//! one period, measure — with a starvation watchdog and a sensor-dropout
+//! safe mode, over one of two control laws that [`ControllerSpec`]
+//! selects:
+//!
+//! * **`mpc`** — the paper's §IV controller ([`MpcConfig::paper`]); the
+//!   default.
+//! * **`cooling`** — the same MPC with its PUE-weighted allocation-level
+//!   term on (after Ogura et al., arXiv:1806.03375), fed per sample through
+//!   [`ResponseTimeController::observe_pue`] from the fleet layer's
+//!   `PueSeries`.
+//! * **`robust`** — the model-free fixed-gain provisioning law of
+//!   [`vdc_control::robust`] (after Makridis et al., arXiv:1811.05533).
 
 use crate::{CoreError, Result};
 use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::Plant;
 use vdc_control::sysid::{fit_arx, ExperimentData, Prbs};
-use vdc_control::{ArxModel, MpcConfig, MpcController, ReferenceTrajectory};
-
-/// Nominal reference time constant, as a multiple of the control period.
-const REFERENCE_TC_PERIODS: f64 = 3.0;
+use vdc_control::{
+    ArxModel, MpcConfig, MpcController, ReferenceTrajectory, RobustConfig, RobustController,
+};
+use vdc_telemetry::Telemetry;
 
 /// How much the reference band widens while re-entering closed loop after
 /// a sensor outage: the first clean sample steps toward the set point this
@@ -115,30 +130,82 @@ pub fn identify_plant<P: Plant + ?Sized>(
     Ok(fit.model)
 }
 
-/// A response-time controller bound to one application.
+/// The control law behind a [`ResponseTimeController`].
+#[derive(Debug, Clone)]
+enum Law {
+    /// The paper's MPC (§IV-B), with its cooling term when the energy
+    /// weight is positive.
+    Mpc {
+        /// Boxed: the MPC is over 3× the robust law's size.
+        mpc: Box<MpcController>,
+        /// EWMA-filtered measurement fed to the MPC. Per-period p90
+        /// estimates over ~100 requests are heavy-tailed; light filtering
+        /// keeps the controller from chasing sampling noise.
+        filtered_ms: Option<f64>,
+        /// The paper's reference trajectory, restored on the first clean
+        /// sample after a sensor outage.
+        nominal: ReferenceTrajectory,
+        /// The reference band in force from safe-mode entry up to and
+        /// including the first clean sample.
+        widened: ReferenceTrajectory,
+    },
+    /// The model-free robust law; it filters its own error signal.
+    Robust(RobustController),
+}
+
+/// A response-time controller bound to one application: one plant loop
+/// (apply the allocation, advance the plant one period, measure the SLA
+/// statistic) over the paper's MPC or the model-free robust law. Build it
+/// with [`ResponseTimeController::new`] (the MPC) or
+/// [`ControllerSpec::build`].
+///
+/// # Contract
+///
+/// Every law upholds the following, and the conformance suite
+/// (`tests/controller_conformance.rs`) checks it:
+///
+/// * [`control_period`](Self::control_period) advances the plant exactly
+///   `period_s` seconds under the *currently applied* allocation, then
+///   computes the next one. It returns `Ok(Some(t_ms))` for a clean
+///   measurement and `Ok(None)` when the period starved (no completions),
+///   in which case a watchdog raises the allocation.
+/// * [`control_period_masked`](Self::control_period_masked) is the
+///   sensor-down variant: the plant still advances (requests drain
+///   unseen), the allocation freezes at its last-good value, and *no*
+///   control law runs. The first masked period enters safe mode; the first
+///   clean `control_period` afterwards exits it. Masked periods always
+///   return `Ok(None)`: an absent sample is never `0.0`.
+/// * [`set_bounds`](Self::set_bounds) with invalid bounds (non-finite,
+///   inverted, infeasible) returns `Err`, ticks a `control.bad_bounds`
+///   telemetry counter, and leaves the previous bounds in force. It never
+///   partially applies.
+/// * [`allocation`](Self::allocation) is always inside the configured box,
+///   and never moves while in safe mode.
+/// * [`observe_pue`](Self::observe_pue) is feed-forward only, and changes
+///   nothing unless the MPC's cooling term is on.
+/// * Telemetry only observes: attaching a sink changes no control move.
 #[derive(Debug, Clone)]
 pub struct ResponseTimeController {
-    mpc: MpcController,
+    law: Law,
     period_s: f64,
     /// The SLA statistic this controller regulates (default: p90).
     metric: SlaMetric,
-    /// Most recent measured 90-percentile response time (ms).
+    /// Most recent clean measurement of the SLA statistic (ms).
     last_measurement_ms: Option<f64>,
-    /// EWMA-filtered measurement fed to the MPC. Per-period p90 estimates
-    /// over ~100 requests are heavy-tailed; light filtering keeps the
-    /// controller from chasing sampling noise.
-    filtered_ms: Option<f64>,
-    /// Sensor-dropout safe mode: the monitor is down, the allocation is
-    /// frozen at its last-good value, and the reference band is widened
-    /// for re-entry. Cleared by the first clean sample.
+    /// Sensor-dropout safe mode: the monitor is down and the allocation is
+    /// frozen at its last-good value. Cleared by the first clean sample.
     safe_mode: bool,
 }
 
-/// EWMA weight of the newest p90 sample.
+/// EWMA weight of the newest p90 sample in the MPC's measurement filter.
 const MEASUREMENT_EWMA_ALPHA: f64 = 0.5;
 
+/// Starvation-watchdog bump per period (GHz).
+const WATCHDOG_BUMP_GHZ: f64 = 0.2;
+
 impl ResponseTimeController {
-    /// Build a controller from an identified model.
+    /// Build the paper's MPC controller ([`MpcConfig::paper`]) from an
+    /// identified model.
     ///
     /// `setpoint_ms` is the SLA target; `c0` the initial per-tier
     /// allocation (GHz).
@@ -153,35 +220,43 @@ impl ResponseTimeController {
                 "setpoint {setpoint_ms} ms must be positive"
             )));
         }
-        let n = model.n_inputs();
-        let reference = ReferenceTrajectory::new(period_s, REFERENCE_TC_PERIODS * period_s)
-            .map_err(CoreError::Control)?;
-        let cfg = MpcConfig {
-            prediction_horizon: 10,
-            control_horizon: 3,
-            q_weight: 1.0,
-            // The tracking error is in ms² (~1e4–1e5 per period near the
-            // set point), so the move penalty must be of comparable scale
-            // to damp noise-chasing: 0.3 GHz moves cost ~0.09 · 4e4 ≈ 4e3.
-            r_weight: vec![4.0e4; n],
-            reference,
-            setpoint: setpoint_ms,
-            // Stay inside the identified operating region: far below the
-            // PRBS low level the linearized gains are badly wrong.
-            c_min: vec![0.3; n],
-            c_max: vec![3.0; n],
-            delta_max: Some(0.3),
-            terminal_constraint: true,
+        let cfg = MpcConfig::paper(model.n_inputs(), setpoint_ms, period_s)?;
+        let nominal = cfg.reference;
+        let widened = ReferenceTrajectory::new(
+            period_s,
+            SAFE_MODE_REFERENCE_SCALE * MpcConfig::PAPER_REFERENCE_PERIODS * period_s,
+        )?;
+        let law = Law::Mpc {
+            mpc: Box::new(MpcController::new(model, cfg, c0)?),
+            filtered_ms: None,
+            nominal,
+            widened,
         };
-        let mpc = MpcController::new(model, cfg, c0)?;
-        Ok(ResponseTimeController {
-            mpc,
+        Ok(ResponseTimeController::with_law(law, period_s))
+    }
+
+    /// Build the robust controller from the SLA target and initial
+    /// allocation. The allocation box and rate limit come from
+    /// [`RobustConfig::default`] and match the MPC's (`c` in `[0.3, 3.0]`
+    /// GHz, 0.3 GHz per period).
+    fn robust(setpoint_ms: f64, period_s: f64, c0: &[f64]) -> Result<ResponseTimeController> {
+        if !(period_s.is_finite() && period_s > 0.0) {
+            return Err(CoreError::BadConfig(format!(
+                "control period {period_s} s must be positive"
+            )));
+        }
+        let law = RobustController::new(setpoint_ms, RobustConfig::default(), c0)?;
+        Ok(ResponseTimeController::with_law(Law::Robust(law), period_s))
+    }
+
+    fn with_law(law: Law, period_s: f64) -> ResponseTimeController {
+        ResponseTimeController {
+            law,
             period_s,
             metric: SlaMetric::P90,
             last_measurement_ms: None,
-            filtered_ms: None,
             safe_mode: false,
-        })
+        }
     }
 
     /// Change the regulated SLA statistic (§III: "can be extended to
@@ -195,10 +270,21 @@ impl ResponseTimeController {
         Ok(())
     }
 
-    /// Attach a telemetry sink to the underlying MPC (phase-split timings
-    /// and solver-fallback counters; see [`MpcController::set_telemetry`]).
-    pub fn set_telemetry(&mut self, telemetry: vdc_telemetry::Telemetry) {
-        self.mpc.set_telemetry(telemetry);
+    /// Attach a telemetry sink to the control law (for the MPC:
+    /// phase-split timings and solver-fallback counters; see
+    /// [`MpcController::set_telemetry`]).
+    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
+        match &mut self.law {
+            Law::Mpc { mpc, .. } => mpc.set_telemetry(telemetry),
+            Law::Robust(law) => law.set_telemetry(telemetry),
+        }
+    }
+
+    fn telemetry(&self) -> &Telemetry {
+        match &self.law {
+            Law::Mpc { mpc, .. } => mpc.telemetry(),
+            Law::Robust(law) => law.telemetry(),
+        }
     }
 
     /// The regulated SLA statistic.
@@ -207,20 +293,25 @@ impl ResponseTimeController {
     }
 
     /// Override the per-tier allocation bounds (GHz). The edit happens in
-    /// place: controller state resets as a rebuild would, but the MPC's
-    /// cached step-response matrix survives (it depends only on the model
-    /// and horizons). Invalid bounds (non-finite, inverted, or infeasible
+    /// place. For the MPC, controller state resets as a rebuild would, but
+    /// the cached step-response matrix survives (it depends only on the
+    /// model and horizons); the robust law clamps its allocation into the
+    /// new box. Invalid bounds (non-finite, inverted, or infeasible
     /// against the rate limit) are rejected: the error is returned, a
     /// `control.bad_bounds` telemetry counter ticks, and the previous
     /// bounds stay in force.
     pub fn set_bounds(&mut self, c_min: f64, c_max: f64) -> Result<()> {
-        let n = self.mpc.model().n_inputs();
-        self.mpc
-            .set_allocation_bounds(vec![c_min; n], vec![c_max; n])
-            .map_err(|e| {
-                self.mpc.telemetry().incr("control.bad_bounds", 1);
-                CoreError::Control(e)
-            })
+        let applied = match &mut self.law {
+            Law::Mpc { mpc, .. } => {
+                let n = mpc.model().n_inputs();
+                mpc.set_allocation_bounds(vec![c_min; n], vec![c_max; n])
+            }
+            Law::Robust(law) => law.set_bounds(c_min, c_max),
+        };
+        applied.map_err(|e| {
+            self.telemetry().incr("control.bad_bounds", 1);
+            CoreError::Control(e)
+        })
     }
 
     /// Control period (seconds).
@@ -230,17 +321,26 @@ impl ResponseTimeController {
 
     /// Change the set point (ms) at run time.
     pub fn set_setpoint(&mut self, setpoint_ms: f64) {
-        self.mpc.set_setpoint(setpoint_ms);
+        match &mut self.law {
+            Law::Mpc { mpc, .. } => mpc.set_setpoint(setpoint_ms),
+            Law::Robust(law) => law.set_setpoint(setpoint_ms),
+        }
     }
 
     /// Current set point (ms).
     pub fn setpoint(&self) -> f64 {
-        self.mpc.config().setpoint
+        match &self.law {
+            Law::Mpc { mpc, .. } => mpc.config().setpoint,
+            Law::Robust(law) => law.setpoint(),
+        }
     }
 
     /// Currently applied allocation (GHz per tier).
     pub fn allocation(&self) -> &[f64] {
-        self.mpc.current_allocation()
+        match &self.law {
+            Law::Mpc { mpc, .. } => mpc.current_allocation(),
+            Law::Robust(law) => law.allocation(),
+        }
     }
 
     /// Most recent measurement fed to the controller (ms).
@@ -253,109 +353,136 @@ impl ResponseTimeController {
         self.safe_mode
     }
 
+    /// Feed the site's current PUE sample (feed-forward, from the fleet
+    /// layer's `PueSeries`). The MPC prices it only while its cooling term
+    /// is on ([`ControllerSpec::CoolingMpc`]); at energy weight zero it
+    /// cannot change a bit, and the robust law ignores it.
+    pub fn observe_pue(&mut self, pue: f64) {
+        if let Law::Mpc { mpc, .. } = &mut self.law {
+            mpc.set_pue(pue);
+        }
+    }
+
+    /// Apply the current allocation, advance the plant one control period
+    /// and drain the completed requests' response times (seconds).
+    fn run_period<P: Plant + ?Sized>(&self, plant: &mut P) -> Result<Vec<f64>> {
+        plant.set_allocations(self.allocation())?;
+        plant.run_for(self.period_s);
+        Ok(plant.take_completed())
+    }
+
     /// Run one control period with the response-time sensor *down*: the
     /// plant advances under the frozen last-good allocation, completions
     /// drain unseen (the monitor that would time them is the thing that
-    /// failed), and no MPC step runs — stepping on a fabricated number
+    /// failed), and no control law runs — stepping on a fabricated number
     /// would chase noise that isn't there. The first masked period enters
-    /// safe mode: the EWMA filter resets (pre-outage dynamics are stale)
-    /// and the reference band widens so re-entry is gentle. Returns
-    /// `Ok(None)` always — a masked sample is *absent*, never `0.0`.
+    /// safe mode: the MPC widens its reference band so re-entry is gentle,
+    /// and the robust law resets its error filter (pre-outage history is
+    /// stale). The MPC's measurement filter resets on every masked period.
+    /// Returns `Ok(None)` always — a masked sample is *absent*, never
+    /// `0.0`.
     pub fn control_period_masked<P: Plant + ?Sized>(
         &mut self,
         plant: &mut P,
     ) -> Result<Option<f64>> {
-        plant.set_allocations(self.allocation())?;
-        plant.run_for(self.period_s);
-        let _ = plant.take_completed();
+        self.run_period(plant)?;
         if !self.safe_mode {
             self.safe_mode = true;
-            if let Ok(wide) = ReferenceTrajectory::new(
-                self.period_s,
-                SAFE_MODE_REFERENCE_SCALE * REFERENCE_TC_PERIODS * self.period_s,
-            ) {
-                self.mpc.set_reference(wide);
+            match &mut self.law {
+                Law::Mpc { mpc, widened, .. } => mpc.set_reference(*widened),
+                Law::Robust(law) => law.reset_filter(),
             }
         }
         self.last_measurement_ms = None;
-        self.filtered_ms = None;
+        if let Law::Mpc { filtered_ms, .. } = &mut self.law {
+            *filtered_ms = None;
+        }
         Ok(None)
     }
 
     /// Run one control period against the plant: simulate `period_s`
-    /// seconds, measure the 90-percentile response time, and compute and
-    /// apply the next allocation. Returns the measurement (ms) if any
-    /// requests completed.
+    /// seconds, measure the SLA statistic, and compute and apply the next
+    /// allocation. Returns the measurement (ms) if any requests completed.
     pub fn control_period<P: Plant + ?Sized>(&mut self, plant: &mut P) -> Result<Option<f64>> {
-        plant.set_allocations(self.allocation())?;
-        plant.run_for(self.period_s);
-        let Some(t_s) = self.metric.measure(plant.take_completed()) else {
-            // No completions (severely starved): push allocations up by the
-            // rate limit to recover, as a watchdog would.
-            let bumped: Vec<f64> = self
-                .allocation()
-                .iter()
-                .map(|&c| (c + 0.2).min(self.mpc.config().c_max[0]))
-                .collect();
-            let t_guess = self.setpoint() * 4.0;
-            let _ = self.mpc.step(t_guess)?;
-            // Overwrite the MPC's move with the watchdog bump if larger.
-            let current = self.mpc.current_allocation().to_vec();
-            let merged: Vec<f64> = current
-                .iter()
-                .zip(&bumped)
-                .map(|(&a, &b)| a.max(b))
-                .collect();
-            self.force_allocation(&merged);
+        let completed = self.run_period(plant)?;
+        let Some(t_s) = self.metric.measure(completed) else {
+            self.watchdog()?;
             self.last_measurement_ms = None;
             return Ok(None);
         };
         let t_ms = t_s * 1000.0;
         self.last_measurement_ms = Some(t_ms);
-        let filtered = match self.filtered_ms {
-            Some(prev) => MEASUREMENT_EWMA_ALPHA * t_ms + (1.0 - MEASUREMENT_EWMA_ALPHA) * prev,
-            None => t_ms,
-        };
-        self.filtered_ms = Some(filtered);
-        let _step = self.mpc.step(filtered)?;
+        match &mut self.law {
+            Law::Mpc {
+                mpc, filtered_ms, ..
+            } => {
+                let filtered = match *filtered_ms {
+                    Some(prev) => {
+                        MEASUREMENT_EWMA_ALPHA * t_ms + (1.0 - MEASUREMENT_EWMA_ALPHA) * prev
+                    }
+                    None => t_ms,
+                };
+                *filtered_ms = Some(filtered);
+                mpc.step(filtered)?;
+            }
+            Law::Robust(law) => {
+                law.step(t_ms);
+            }
+        }
         if self.safe_mode {
             // First clean sample after a sensor outage: the step above ran
-            // against the widened band; restore the nominal reference and
-            // re-enter normal closed-loop operation.
+            // gently (the MPC against the widened band, the robust law
+            // from a reset filter); re-enter normal closed-loop operation.
             self.safe_mode = false;
-            if let Ok(nominal) =
-                ReferenceTrajectory::new(self.period_s, REFERENCE_TC_PERIODS * self.period_s)
-            {
-                self.mpc.set_reference(nominal);
+            if let Law::Mpc { mpc, nominal, .. } = &mut self.law {
+                mpc.set_reference(*nominal);
             }
         }
         Ok(Some(t_ms))
+    }
+
+    /// Starvation watchdog: a period with no completions pushes every
+    /// tier's allocation up by [`WATCHDOG_BUMP_GHZ`] to recover. The
+    /// forced allocation resets the law's state (the old dynamics are
+    /// stale anyway).
+    fn watchdog(&mut self) -> Result<()> {
+        match &mut self.law {
+            Law::Mpc { mpc, .. } => {
+                let c_max = mpc.config().c_max[0];
+                let bumped: Vec<f64> = mpc
+                    .current_allocation()
+                    .iter()
+                    .map(|&c| (c + WATCHDOG_BUMP_GHZ).min(c_max))
+                    .collect();
+                let t_guess = mpc.config().setpoint * 4.0;
+                mpc.step(t_guess)?;
+                // Keep the MPC's move where it is larger than the bump.
+                let merged: Vec<f64> = mpc
+                    .current_allocation()
+                    .iter()
+                    .zip(&bumped)
+                    .map(|(&a, &b)| a.max(b))
+                    .collect();
+                // The merged vector has one entry per input, so this
+                // cannot fail.
+                let _ = mpc.force_allocation(&merged);
+            }
+            Law::Robust(law) => {
+                let bumped: Vec<f64> = law
+                    .allocation()
+                    .iter()
+                    .map(|&c| c + WATCHDOG_BUMP_GHZ)
+                    .collect();
+                law.force_allocation(&bumped)?;
+            }
+        }
+        Ok(())
     }
 
     /// Total CPU demand across tiers (GHz) — what the server-level
     /// arbitrators aggregate.
     pub fn total_demand_ghz(&self) -> f64 {
         self.allocation().iter().sum()
-    }
-
-    fn force_allocation(&mut self, alloc: &[f64]) {
-        // Reset the MPC state at the forced allocation, keeping the model,
-        // config, and cached predictor; histories reset, which is
-        // acceptable after a starvation event (the old dynamics are stale
-        // anyway).
-        let _ = self.mpc.force_allocation(alloc);
-    }
-
-    /// Mutable access to the wrapped MPC, for variant controllers (the
-    /// cooling-coupled wrapper sets its energy weight and PUE multiplier
-    /// here) without widening the public surface.
-    pub(crate) fn mpc_mut(&mut self) -> &mut MpcController {
-        &mut self.mpc
-    }
-
-    /// Shared access to the wrapped MPC (see [`Self::mpc_mut`]).
-    pub(crate) fn mpc(&self) -> &MpcController {
-        &self.mpc
     }
 }
 
@@ -368,10 +495,90 @@ const _: fn() = || {
     assert_send::<ResponseTimeController>();
 };
 
+/// Default energy weight for [`ControllerSpec::cooling`], in the MPC's
+/// cost units (the tracking error is in ms², so allocation-level pressure
+/// needs comparable scale — see [`MpcController::set_energy_weight`]).
+/// Tuned against the `controllers` ablation: a visible energy saving at
+/// PUE ≈ 1.3–1.6 while the week trace still completes within its SLO
+/// budget.
+pub const DEFAULT_COOLING_WEIGHT: f64 = 1.5e4;
+
+/// Which control law a run builds for each application. Travels on
+/// `CosimConfig`, `RunOptions`, and `TestbedConfig`; the run loops call
+/// [`ControllerSpec::build`] with the identified model.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum ControllerSpec {
+    /// The paper's MPC (§IV) — the default.
+    #[default]
+    Mpc,
+    /// The model-free robust provisioning law (Makridis et al.,
+    /// arXiv:1811.05533). Ignores the identified model by design.
+    Robust,
+    /// The paper's MPC with the PUE-weighted allocation-level cooling term
+    /// (Ogura et al., arXiv:1806.03375) at the given energy weight.
+    CoolingMpc {
+        /// Weight of the PUE-multiplied allocation-level term.
+        energy_weight: f64,
+    },
+}
+
+impl ControllerSpec {
+    /// The cooling-coupled variant at [`DEFAULT_COOLING_WEIGHT`].
+    pub fn cooling() -> ControllerSpec {
+        ControllerSpec::CoolingMpc {
+            energy_weight: DEFAULT_COOLING_WEIGHT,
+        }
+    }
+
+    /// Stable short name for CLI flags and metrics labels.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ControllerSpec::Mpc => "mpc",
+            ControllerSpec::Robust => "robust",
+            ControllerSpec::CoolingMpc { .. } => "cooling",
+        }
+    }
+
+    /// Parse a CLI flag value (`mpc` | `robust` | `cooling`).
+    pub fn parse(s: &str) -> Option<ControllerSpec> {
+        match s {
+            "mpc" => Some(ControllerSpec::Mpc),
+            "robust" => Some(ControllerSpec::Robust),
+            "cooling" => Some(ControllerSpec::cooling()),
+            _ => None,
+        }
+    }
+
+    /// Build the controller for one application from its identified model.
+    /// `CoolingMpc` rejects a negative or non-finite energy weight.
+    pub fn build(
+        &self,
+        model: &ArxModel,
+        setpoint_ms: f64,
+        period_s: f64,
+        c0: &[f64],
+    ) -> Result<ResponseTimeController> {
+        match *self {
+            ControllerSpec::Mpc => {
+                ResponseTimeController::new(model.clone(), setpoint_ms, period_s, c0)
+            }
+            ControllerSpec::Robust => ResponseTimeController::robust(setpoint_ms, period_s, c0),
+            ControllerSpec::CoolingMpc { energy_weight } => {
+                let mut ctrl =
+                    ResponseTimeController::new(model.clone(), setpoint_ms, period_s, c0)?;
+                if let Law::Mpc { mpc, .. } = &mut ctrl.law {
+                    mpc.set_energy_weight(energy_weight)?;
+                }
+                Ok(ctrl)
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vdc_apptier::{AppSim, WorkloadProfile};
+    use vdc_apptier::{AnalyticPlant, AppSim, WorkloadProfile};
 
     fn plant(concurrency: usize, seed: u64) -> AppSim {
         AppSim::new(WorkloadProfile::rubbos(), concurrency, &[1.0, 1.0], seed).unwrap()
@@ -437,6 +644,113 @@ mod tests {
         assert_eq!(c.setpoint(), 700.0);
         assert_eq!(c.period_s(), 4.0);
         assert!((c.total_demand_ghz() - 2.0).abs() < 1e-12);
+    }
+
+    fn model() -> ArxModel {
+        ArxModel::new(
+            vec![0.45],
+            vec![vec![-180.0, -120.0], vec![-60.0, -40.0]],
+            1400.0,
+        )
+        .unwrap()
+    }
+
+    const SPECS: [ControllerSpec; 3] = [
+        ControllerSpec::Mpc,
+        ControllerSpec::Robust,
+        ControllerSpec::CoolingMpc {
+            energy_weight: DEFAULT_COOLING_WEIGHT,
+        },
+    ];
+
+    #[test]
+    fn spec_names_round_trip_through_parse() {
+        for spec in SPECS {
+            assert_eq!(ControllerSpec::parse(spec.name()), Some(spec));
+        }
+        assert_eq!(ControllerSpec::parse("pid"), None);
+        assert_eq!(ControllerSpec::default(), ControllerSpec::Mpc);
+    }
+
+    #[test]
+    fn build_produces_working_controllers_of_each_kind() {
+        for spec in SPECS {
+            let ctrl = spec.build(&model(), 1000.0, 4.0, &[1.0, 1.0]).unwrap();
+            assert_eq!(ctrl.allocation(), &[1.0, 1.0], "{}", spec.name());
+            assert_eq!(ctrl.setpoint(), 1000.0);
+            assert_eq!(ctrl.period_s(), 4.0);
+            assert!(!ctrl.in_safe_mode());
+            assert!((ctrl.total_demand_ghz() - 2.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn build_rejects_bad_inputs() {
+        assert!(ControllerSpec::Mpc
+            .build(&model(), -5.0, 4.0, &[1.0, 1.0])
+            .is_err());
+        assert!(ControllerSpec::Robust
+            .build(&model(), 1000.0, 0.0, &[1.0, 1.0])
+            .is_err());
+        assert!(ControllerSpec::CoolingMpc {
+            energy_weight: -1.0
+        }
+        .build(&model(), 1000.0, 4.0, &[1.0, 1.0])
+        .is_err());
+    }
+
+    #[test]
+    fn bad_bounds_are_rejected_and_counted() {
+        let telemetry = Telemetry::enabled();
+        for spec in SPECS {
+            let mut ctrl = spec.build(&model(), 1000.0, 4.0, &[1.0, 1.0]).unwrap();
+            ctrl.set_telemetry(telemetry.clone());
+            assert!(ctrl.set_bounds(2.0, 1.0).is_err(), "{}", spec.name());
+            assert!(ctrl.set_bounds(0.5, 2.5).is_ok(), "{}", spec.name());
+        }
+        let counters = telemetry.counter_values();
+        let bad = counters
+            .iter()
+            .find(|(n, _)| n == "control.bad_bounds")
+            .map(|(_, v)| *v)
+            .unwrap_or(0);
+        assert_eq!(bad, 3, "each controller must tick control.bad_bounds once");
+    }
+
+    /// Feeding a PUE sample before every period leaves the MPC and the
+    /// robust law bit-identical to a run that is never fed, and moves the
+    /// cooling-coupled MPC (the feed is live there).
+    #[test]
+    fn observe_pue_is_a_noop_for_non_cooling_controllers() {
+        let run = |spec: ControllerSpec, pue: Option<f64>| {
+            let mut ctrl = spec.build(&model(), 1000.0, 4.0, &[1.0, 1.0]).unwrap();
+            let mut plant =
+                AnalyticPlant::new(WorkloadProfile::rubbos(), 40, &[1.0, 1.0], 0.4, 9).unwrap();
+            let mut trace = Vec::new();
+            for _ in 0..40 {
+                if let Some(pue) = pue {
+                    ctrl.observe_pue(pue);
+                }
+                let measured = ctrl.control_period(&mut plant).unwrap();
+                trace.push(measured.map(f64::to_bits));
+                trace.extend(ctrl.allocation().iter().map(|c| Some(c.to_bits())));
+            }
+            trace
+        };
+        for spec in [ControllerSpec::Mpc, ControllerSpec::Robust] {
+            assert_eq!(
+                run(spec, Some(1.8)),
+                run(spec, None),
+                "PUE feed moved {}",
+                spec.name()
+            );
+        }
+        let cooling = ControllerSpec::cooling();
+        assert_ne!(
+            run(cooling, Some(1.8)),
+            run(cooling, None),
+            "the cooling law must price the PUE feed"
+        );
     }
 }
 

@@ -19,12 +19,13 @@
 //! The run is the run engine's per-sample loop (`engine.rs`) with the
 //! per-application control step as its workload stage.
 
-use crate::controller::{identify_plant, IdentificationConfig};
+use crate::controller::{
+    identify_plant, ControllerSpec, IdentificationConfig, ResponseTimeController,
+};
 use crate::engine::{Core, Engine, EngineConfig, RunKeys, Workload};
 use crate::largescale::{build_fleet, MEAN_SERVER_GHZ};
 use crate::optimizer::OptimizerConfig;
 use crate::run::RunOptions;
-use crate::tier::{ControllerSpec, TierController};
 use crate::{CoreError, Result};
 use vdc_apptier::monitor::SlaMetric;
 use vdc_apptier::rng::{seed_stream, SimRng};
@@ -55,9 +56,8 @@ pub struct CosimConfig {
     /// owns its plant, controller, and `seed_stream`-derived RNG stream,
     /// and all cross-app reductions stay sequential in app order.
     pub shards: usize,
-    /// Which tier controller each application runs (the [`crate::tier`]
-    /// seam). The default, [`ControllerSpec::Mpc`], is the paper's
-    /// controller and keeps the run bit-identical to the pre-seam loop;
+    /// Which control law each application's controller runs. The default,
+    /// [`ControllerSpec::Mpc`], is the paper's controller;
     /// `RunOptions::controller` overrides this per run.
     pub controller: ControllerSpec,
 }
@@ -110,7 +110,7 @@ pub struct CosimResult {
 /// One controlled application in the co-simulation.
 struct App {
     plant: AnalyticPlant,
-    controller: Box<dyn TierController>,
+    controller: ResponseTimeController,
     /// Frozen allocation when controllers are disabled.
     static_alloc: Vec<f64>,
     /// Client population cap (peak concurrency).
@@ -361,8 +361,8 @@ impl Workload for Control<'_> {
         }
 
         // 2. Feed-forward: the site's current PUE sample reaches every
-        //    controller before the control fan-out. A no-op by contract
-        //    for controllers that don't price cooling, and absent entirely
+        //    controller before the control fan-out. It changes nothing
+        //    unless the MPC's cooling term is on, and is absent entirely
         //    when no series is attached.
         if let Some(series) = self.pue {
             let pue = series.at(t);

@@ -27,10 +27,10 @@
 //! per-application control step); the facility, host-fault, consolidation,
 //! DVFS, power and watchdog stages are common.
 //!
-//! [`tier`] is the pluggable controller seam: the run loops drive every
-//! application through the object-safe [`tier::TierController`] trait, and
-//! [`tier::ControllerSpec`] selects between the paper MPC (default), the
-//! model-free robust provisioning law, and the cooling-coupled MPC.
+//! Every application runs one [`ResponseTimeController`]: one plant loop
+//! over a control law that [`ControllerSpec`] selects — the paper MPC
+//! (default), the cooling-coupled MPC, or the model-free robust
+//! provisioning law.
 //!
 //! [`shard`] is the deterministic fork–join substrate under [`cosim`] and
 //! [`largescale`]: per-element work fans out over scoped threads while
@@ -49,10 +49,11 @@ pub mod optimizer;
 pub mod run;
 pub mod shard;
 pub mod testbed;
-pub mod tier;
 
 pub use churn::{run_churn, ChurnResult};
-pub use controller::{IdentificationConfig, ResponseTimeController};
+pub use controller::{
+    ControllerSpec, IdentificationConfig, ResponseTimeController, DEFAULT_COOLING_WEIGHT,
+};
 pub use cosim::{run_cosim, CosimConfig, CosimResult};
 pub use experiments::Fig6Config;
 pub use largescale::{
@@ -61,10 +62,6 @@ pub use largescale::{
 pub use optimizer::{pod_partition, OptimizerConfig, PowerOptimizer};
 pub use run::RunOptions;
 pub use testbed::{Testbed, TestbedConfig};
-pub use tier::{
-    ControllerSpec, CoolingTierController, RobustTierController, TierController,
-    DEFAULT_COOLING_WEIGHT,
-};
 pub use vdc_faults::{FaultConfig, FaultPlan, FaultSession};
 
 /// Errors from the integrated runtime.

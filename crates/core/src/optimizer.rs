@@ -463,8 +463,6 @@ impl PowerOptimizer {
             steps += stats.steps;
         }
         if algorithm == Algorithm::Ipac {
-            self.telemetry
-                .record("optimizer.pack_search_ns", search_ns as f64);
             self.telemetry.incr(MINSLACK_STEPS, steps);
         }
 
@@ -496,6 +494,7 @@ impl PowerOptimizer {
             };
             let res = pac_pack(&mut post, &spill, constraint, &spill_cfg);
             self.telemetry.incr(MINSLACK_STEPS, res.total_steps);
+            search_ns += res.search_ns;
             let mut spill_placed = 0u64;
             for &(vm, si) in &res.assignments {
                 let item = spill.iter().find(|it| it.vm == vm).expect("spill item");
@@ -584,6 +583,7 @@ impl PowerOptimizer {
                 let was_active: Vec<bool> = target.iter().map(|s| s.active).collect();
                 let res = pac_pack(&mut target, &items, constraint, &rebalance_cfg);
                 self.telemetry.incr(MINSLACK_STEPS, res.total_steps);
+                search_ns += res.search_ns;
                 let mut rebalance_moves = 0u64;
                 for &(vm, si) in &res.assignments {
                     let (item, origin) = candidates
@@ -614,7 +614,13 @@ impl PowerOptimizer {
             }
         }
 
-        self.drain_pass(&mut post, &mut plan, pods);
+        search_ns += self.drain_pass(&mut post, &mut plan, pods);
+        // One record per invocation: the pod sweeps plus the spill,
+        // rebalance and drain packs.
+        if algorithm == Algorithm::Ipac {
+            self.telemetry
+                .record("optimizer.pack_search_ns", search_ns as f64);
+        }
         plan
     }
 
@@ -633,12 +639,14 @@ impl PowerOptimizer {
     /// pod plan block their server (one move per VM: `apply_plan` detaches
     /// all movers before re-attaching, so a second move would corrupt the
     /// VM).
+    ///
+    /// Returns the Minimum Slack search time of its packs (ns).
     fn drain_pass(
         &self,
         post: &mut [PackServer],
         plan: &mut ConsolidationPlan,
         pods: &[std::ops::Range<usize>],
-    ) {
+    ) -> u64 {
         let pod_load = |view: &[PackServer]| {
             let mut cap = 0.0;
             let mut dem = 0.0;
@@ -660,7 +668,7 @@ impl PowerOptimizer {
                 lo = Some(p);
             }
         }
-        let Some(lo) = lo else { return };
+        let Some(lo) = lo else { return 0 };
         // Best active-headroom pod other than the source.
         let mut hi: Option<usize> = None;
         let mut hi_slack = f64::NEG_INFINITY;
@@ -681,7 +689,7 @@ impl PowerOptimizer {
                 hi = Some(p);
             }
         }
-        let Some(hi) = hi else { return };
+        let Some(hi) = hi else { return 0 };
 
         // Residents already *migrated* (from: Some) pin their server;
         // fresh placements (from: None) can be re-routed in place.
@@ -720,6 +728,7 @@ impl PowerOptimizer {
                 .then_with(|| a.cmp(&b))
         });
         let mut drain_moves = 0u64;
+        let mut search_ns = 0u64;
         for si in sources {
             if post[si].resident.iter().any(|it| migrated.contains(&it.vm)) {
                 continue;
@@ -728,6 +737,7 @@ impl PowerOptimizer {
             let mut trial = target.clone();
             let res = pac_pack(&mut trial, &items, &self.cfg.constraint, &drain_cfg);
             self.telemetry.incr(MINSLACK_STEPS, res.total_steps);
+            search_ns += res.search_ns;
             // Two wins, two commit rules. A *full* drain empties the
             // server and sleeps it — the idle-power saving justifies any
             // active target. A *partial* drain keeps the source awake, so
@@ -777,6 +787,7 @@ impl PowerOptimizer {
         }
         self.telemetry
             .incr("optimizer.pod_drain_moves", drain_moves);
+        search_ns
     }
 
     /// One optimizer invocation: snapshot → plan → apply. `new_items` are

@@ -8,7 +8,7 @@
 //! runner is `run_xxx(input, &config, &RunOptions)` and new axes don't
 //! multiply the API again.
 
-use crate::tier::ControllerSpec;
+use crate::controller::ControllerSpec;
 use vdc_dcsim::PueSeries;
 use vdc_faults::FaultPlan;
 use vdc_telemetry::Telemetry;
@@ -65,8 +65,7 @@ pub struct RunOptions<'a> {
     /// (`tests/regret.rs`) bounds the power cost — but a given pod size is
     /// still bit-identical across shard counts.
     pub pods: Option<usize>,
-    /// Which tier controller the run builds per application (the
-    /// [`crate::tier`] seam). `None` defers to the runner's config (the
+    /// Which control law the run builds per application. `None` defers to the runner's config (the
     /// co-simulation's `CosimConfig::controller`, itself defaulting to the
     /// paper MPC). Runners without application-level controllers — the
     /// large-scale trace replay and churn, whose VM demands come straight
@@ -76,9 +75,9 @@ pub struct RunOptions<'a> {
     pub controller: Option<ControllerSpec>,
     /// Site PUE series fed forward to the controllers: each sample, every
     /// application's controller sees the current PUE via
-    /// [`crate::tier::TierController::observe_pue`]. `None` feeds nothing
-    /// (byte-identical to the pre-seam loop). Only cooling-coupled
-    /// controllers react; for the rest the feed is a no-op by contract.
+    /// [`crate::ResponseTimeController::observe_pue`]. `None` feeds
+    /// nothing. Only the cooling-coupled MPC reacts; for the paper MPC and
+    /// the robust law the feed cannot change a bit.
     pub pue: Option<&'a PueSeries>,
 }
 
@@ -113,7 +112,7 @@ impl<'a> RunOptions<'a> {
         self
     }
 
-    /// Select the tier controller (overrides the runner config's spec).
+    /// Select the control law (overrides the runner config's spec).
     pub fn with_controller(mut self, spec: ControllerSpec) -> Self {
         self.controller = Some(spec);
         self

@@ -7,8 +7,9 @@
 //! experiment, we disable the power optimizer to evaluate the response time
 //! controllers"), which is the default here too.
 
-use crate::controller::{identify_plant, IdentificationConfig};
-use crate::tier::{ControllerSpec, TierController};
+use crate::controller::{
+    identify_plant, ControllerSpec, IdentificationConfig, ResponseTimeController,
+};
 use crate::{CoreError, Result};
 use vdc_apptier::{AppSim, WorkloadProfile};
 use vdc_dcsim::{CpuArbitrator, DataCenter, Server, ServerHandle, ServerSpec, VmHandle, VmSpec};
@@ -32,8 +33,8 @@ pub struct TestbedConfig {
     pub share_model: bool,
     /// Base RNG seed.
     pub seed: u64,
-    /// Which tier controller each application runs (the [`crate::tier`]
-    /// seam; default: the paper MPC).
+    /// Which control law each application's controller runs (default: the
+    /// paper MPC).
     pub controller: ControllerSpec,
 }
 
@@ -70,7 +71,7 @@ pub struct TestbedSample {
 pub struct Testbed {
     dc: DataCenter,
     apps: Vec<AppSim>,
-    controllers: Vec<Box<dyn TierController>>,
+    controllers: Vec<ResponseTimeController>,
     /// `vm_handles[app][tier]`.
     vm_handles: Vec<Vec<VmHandle>>,
     time_s: f64,
@@ -185,10 +186,9 @@ impl Testbed {
         &self.dc
     }
 
-    /// Borrow one application's controller (through the
-    /// [`TierController`] seam).
-    pub fn controller(&self, app: usize) -> &dyn TierController {
-        self.controllers[app].as_ref()
+    /// Borrow one application's controller.
+    pub fn controller(&self, app: usize) -> &ResponseTimeController {
+        &self.controllers[app]
     }
 
     /// Change an application's concurrency level (the Fig. 3 workload

@@ -9,8 +9,9 @@
 //!    forgetting-factor RLS and hot-swapping the MPC's model (the raw
 //!    `vdc-control` layer, which exposes `update_model`).
 //! 2. **Robustness** — a fixed-gain provisioning controller that never
-//!    re-identifies anything, built through the [`ControllerSpec`] seam
-//!    and driven as a `dyn TierController` like any other law.
+//!    re-identifies anything, built with [`ControllerSpec::Robust`] and
+//!    driven through the same `ResponseTimeController` plant loop as the
+//!    paper MPC.
 //!
 //! Both run at concurrency 70 — far from the design point — against
 //! identical plant instances.
@@ -22,7 +23,7 @@
 use vdcpower::apptier::monitor::ResponseStats;
 use vdcpower::apptier::{AppSim, WorkloadProfile};
 use vdcpower::control::sysid::RecursiveLeastSquares;
-use vdcpower::control::{MpcConfig, MpcController, ReferenceTrajectory};
+use vdcpower::control::{MpcConfig, MpcController};
 use vdcpower::core::controller::{identify_plant, IdentificationConfig};
 use vdcpower::core::ControllerSpec;
 
@@ -41,19 +42,7 @@ fn main() {
     );
 
     // Controller built directly on the raw MPC layer so we can swap models.
-    let reference = ReferenceTrajectory::new(period_s, 3.0 * period_s).unwrap();
-    let cfg = MpcConfig {
-        prediction_horizon: 10,
-        control_horizon: 3,
-        q_weight: 1.0,
-        r_weight: vec![4.0e4; 2],
-        reference,
-        setpoint,
-        c_min: vec![0.3; 2],
-        c_max: vec![3.0; 2],
-        delta_max: Some(0.3),
-        terminal_constraint: true,
-    };
+    let cfg = MpcConfig::paper(2, setpoint, period_s).unwrap();
     let mut mpc = MpcController::new(model.clone(), cfg, &[1.0, 1.0]).unwrap();
 
     // Forgetting-factor RLS seeded with nothing: it learns from closed-loop
@@ -101,8 +90,8 @@ fn main() {
 
     // The robust alternative: no model refresh, no identification data at
     // run time — a fixed-gain law on the filtered relative error, built
-    // through the same seam the co-simulation uses and driven through the
-    // object-safe trait.
+    // and driven the way the co-simulation builds and drives every
+    // application's controller.
     let mut robust = ControllerSpec::Robust
         .build(&model, setpoint, period_s, &[1.0, 1.0])
         .unwrap();

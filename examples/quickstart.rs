@@ -9,7 +9,7 @@
 
 use vdcpower::apptier::{AppSim, WorkloadProfile};
 use vdcpower::control::analysis::analyze_closed_loop;
-use vdcpower::control::{MpcConfig, ReferenceTrajectory};
+use vdcpower::control::MpcConfig;
 use vdcpower::core::controller::{identify_plant, IdentificationConfig};
 use vdcpower::core::ControllerSpec;
 use vdcpower::dcsim::{CpuArbitrator, ServerSpec};
@@ -46,18 +46,7 @@ fn main() {
     // 2b. Closed-loop analysis: linearize the receding-horizon law around
     //     its equilibrium and check the spectral radius (< 1 = the nominal
     //     loop is locally asymptotically stable).
-    let analysis_cfg = MpcConfig {
-        prediction_horizon: 10,
-        control_horizon: 3,
-        q_weight: 1.0,
-        r_weight: vec![4.0e4; 2],
-        reference: ReferenceTrajectory::new(4.0, 12.0).unwrap(),
-        setpoint: 1000.0,
-        c_min: vec![0.3; 2],
-        c_max: vec![3.0; 2],
-        delta_max: Some(0.3),
-        terminal_constraint: true,
-    };
+    let analysis_cfg = MpcConfig::paper(2, 1000.0, 4.0).unwrap();
     match analyze_closed_loop(&model, &analysis_cfg) {
         Ok(a) => println!(
             "  closed-loop tracking-mode decay {:.3}, {} structural marginal mode(s) \
@@ -68,9 +57,9 @@ fn main() {
         Err(e) => println!("  closed-loop analysis unavailable: {e}"),
     }
 
-    // 3. Build the paper's MPC tier controller through the controller seam
-    //    (swap `Mpc` for `Robust` or `cooling()` to ablate the law) with a
-    //    1000 ms set point, and run it against a fresh plant instance.
+    // 3. Build the paper's MPC response-time controller (swap `Mpc` for
+    //    `Robust` or `cooling()` to ablate the law) with a 1000 ms set
+    //    point, and run it against a fresh plant instance.
     let setpoint_ms = 1000.0;
     let period_s = 4.0;
     let mut controller = ControllerSpec::Mpc

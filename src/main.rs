@@ -26,7 +26,7 @@ use std::process::ExitCode;
 
 use vdcpower::apptier::{AppSim, WorkloadProfile};
 use vdcpower::control::analysis::{achievable_range, analyze_closed_loop};
-use vdcpower::control::{MpcConfig, ReferenceTrajectory};
+use vdcpower::control::MpcConfig;
 use vdcpower::core::controller::{identify_plant, IdentificationConfig};
 use vdcpower::core::experiments::MeanStd;
 use vdcpower::core::largescale::{run_large_scale, LargeScaleConfig, OptimizerKind};
@@ -109,18 +109,7 @@ fn cmd_identify(args: &[String], reporter: &Reporter) -> ExitCode {
             println!("  dc gain tier {}: {:.1} ms/GHz", ch + 1, g);
         }
     }
-    let cfg = MpcConfig {
-        prediction_horizon: 10,
-        control_horizon: 3,
-        q_weight: 1.0,
-        r_weight: vec![4.0e4; model.n_inputs()],
-        reference: ReferenceTrajectory::new(4.0, 12.0).expect("static config"),
-        setpoint: 1000.0,
-        c_min: vec![0.3; model.n_inputs()],
-        c_max: vec![3.0; model.n_inputs()],
-        delta_max: Some(0.3),
-        terminal_constraint: true,
-    };
+    let cfg = MpcConfig::paper(model.n_inputs(), 1000.0, 4.0).expect("static config");
     match analyze_closed_loop(&model, &cfg) {
         Ok(a) => {
             println!(

@@ -1,6 +1,6 @@
-//! Trait-level conformance suite for the controller seam.
+//! Conformance suite for the response-time controller's control laws.
 //!
-//! Every [`ControllerSpec`] must honor the same [`TierController`]
+//! Every [`ControllerSpec`] must honor the same `ResponseTimeController`
 //! contract regardless of the law behind it: converge to the set point on
 //! a real plant, keep allocations inside any valid box handed to
 //! `set_bounds`, freeze the allocation bit-for-bit across masked (sensor

@@ -53,11 +53,11 @@ fn same_seed_runs_are_bit_identical() {
     assert_eq!(a.migrations, b.migrations);
 }
 
-/// The controller seam's default-path pin: selecting the paper MPC
-/// *explicitly* — via `CosimConfig::controller` and again via the
+/// The default-path pin of the controller choice: selecting the paper
+/// MPC *explicitly* — via `CosimConfig::controller` and again via the
 /// `RunOptions` override — must reproduce the implicit-default run bit
-/// for bit. The seam may add controllers, but `ControllerSpec::Mpc` is
-/// the pre-seam code path, not a near-copy of it.
+/// for bit. `ControllerSpec::Mpc` is the default code path, not a
+/// near-copy of it.
 #[test]
 fn explicit_mpc_spec_is_bit_identical_to_the_default() {
     let default = small_run(0xD5EED);

@@ -174,7 +174,7 @@ fn cosim_spec_at(
     (result, telemetry)
 }
 
-/// The controller seam must not weaken shard equivalence: the two
+/// The controller choice must not weaken shard equivalence: the two
 /// non-default controllers — robust fixed-gain and cooling-coupled MPC,
 /// the latter with a stepped PUE feed actually steering its objective —
 /// produce different results than the paper MPC, but any *given* spec is
